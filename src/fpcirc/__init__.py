@@ -85,7 +85,6 @@ from .pde import (
     compute_flux,
     compute_vorticity,
     controlled_operator,
-    implicit_step,
     integrate_fpe,
 )
 from .particles import (
@@ -124,7 +123,7 @@ __all__ = [
     "stationarity_residual",
     "ControlledOperator", "DiagnosticsSeries", "ImplicitStepper",
     "IntegrationResult", "compute_flux", "compute_vorticity",
-    "controlled_operator", "implicit_step", "integrate_fpe",
+    "controlled_operator", "integrate_fpe",
     "AngularMomentumStat", "FluxEstimate", "ParticleEnsemble",
     "VelocityRecord", "angular_momentum", "em_step", "estimate_flux",
     "histogram_tv_distance", "sample_initial", "simulate",

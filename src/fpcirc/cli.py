@@ -152,7 +152,7 @@ def _get_basis(out: Path, cfg: ExperimentConfig, prob, manifest: RunManifest):
     bdir = _basis_dir(out, cfg)
     if (bdir / "manifest.json").exists():
         basis = SpectralBasis.load(bdir)
-        manifest.data["timings"]["eigen"] = 0.0
+        manifest.data["timings"].setdefault("eigen", 0.0)
         manifest.data["residuals"]["eigen"] = basis.residuals
         manifest.add_dir_artifact("basis", bdir)
         return basis
@@ -453,6 +453,7 @@ def cmd_validate(cfg: ExperimentConfig, out: Path, manifest: RunManifest, args) 
         "e_omega_initial_u01": None,  # filled below
         "boundary_flux_ratio_max": res_opt.boundary_flux_ratio_max,
         "n_factorizations": res_opt.n_factorizations,
+        "n_refine_sweeps": res_opt.n_refine_sweeps,
     }
     om01 = compute_vorticity(
         compute_flux(rho0, 0.0, 1.0, prob.shapes, prob.rho_s, cfg.D)

@@ -9,10 +9,13 @@ full-scale numbers live in test_acceptance.py.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from fpcirc.control import ControlTrajectory
+from fpcirc.fields import ScalarField
 from fpcirc.operators import assemble_generator, eigenbasis
-from fpcirc.pde import controlled_operator
+from fpcirc.pde import ImplicitStepper, controlled_operator
 from fpcirc.problem import (
     ExperimentConfig,
     build_initial_density,
@@ -90,3 +93,19 @@ def assert_unit_vector(e, index, atol):
     expect = np.zeros_like(e)
     expect[index] = 1.0
     np.testing.assert_allclose(e, expect, atol=atol)
+
+
+def implicit_step(rho, op, u1, u2, dt):
+    """One backward-Euler step of a density field by a fresh stepper."""
+    out = ImplicitStepper(op, dt).step(rho.flat, u1, u2)
+    return ScalarField(rho.grid, out.reshape(rho.grid.nx, rho.grid.ny))
+
+
+def direct_step(op, rho_flat, u1, u2, dt):
+    """Oracle: solve (I - dt K(u)) x = rho with its own LU factorization."""
+    eye = sp.identity(op.base.shape[0], format="csc")
+    return spla.splu((eye - dt * op.matrix(u1, u2)).tocsc()).solve(rho_flat)
+
+
+def relative_error(x, ref):
+    return float(np.linalg.norm(x - ref) / np.linalg.norm(ref))

@@ -46,6 +46,8 @@ def good_run(tmp_path_factory):
     cfg_path = write_config(root / "config_in.json", GOOD_CONFIG)
     out = root / "run"
     rc = main(["all", "--config", cfg_path, "--out", str(out), "--max-iters", "400"])
+    # later tests rerun stages into out; keep the manifest of `all` itself
+    (root / "manifest_all.json").write_bytes((out / "manifest.json").read_bytes())
     return rc, out, cfg_path
 
 
@@ -148,6 +150,14 @@ def test_report_history_is_monotone(good_run):
     assert all(b <= a for a, b in zip(hist, hist[1:]))
     assert report["grad_check_max_rel_error"] is None
     assert report["objective"] == hist[-1]
+
+
+def test_all_manifest_keeps_eigensolve_time(good_run):
+    # optimize and validate load the basis that eigen just computed; the
+    # cache hits must not overwrite the eigensolve time
+    _, out, _ = good_run
+    manifest = json.loads((out.parent / "manifest_all.json").read_text())
+    assert manifest["timings"]["eigen"] > 0.0
 
 
 def test_validate_reuses_cached_basis_and_controls(good_run, capsys):

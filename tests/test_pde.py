@@ -18,10 +18,11 @@ from fpcirc.pde import (
     compute_flux,
     compute_vorticity,
     controlled_operator,
-    implicit_step,
     integrate_fpe,
 )
 from fpcirc.problem import desired_vorticity, reference_problem
+
+from conftest import direct_step, implicit_step, relative_error
 
 
 @pytest.fixture(scope="module")
@@ -69,15 +70,44 @@ def test_stepper_rejects_nonpositive_dt(ref_op):
         ImplicitStepper(ref_op, 0.0)
 
 
-def test_stepper_reuses_factorization_for_repeated_controls(coarse_op, coarse_prob):
-    stepper = ImplicitStepper(coarse_op, 0.01)
-    rho = coarse_prob.rho_s.flat.copy()
+def test_stepper_refines_with_kept_factorization(coarse_op, coarse_rho0):
+    dt = 0.01
+    stepper = ImplicitStepper(coarse_op, dt)
+    rho = coarse_rho0.flat.copy()
+
+    def step(u1, u2):
+        nonlocal rho
+        ref = direct_step(coarse_op, rho, u1, u2, dt)
+        rho = stepper.step(rho, u1, u2)
+        assert relative_error(rho, ref) <= 1e-10
+
+    # repeated controls: one factorization, then one refinement sweep a step
     for _ in range(5):
-        rho = stepper.step(rho, 0.0, 1.0)
+        step(0.0, 1.0)
     assert stepper.n_factorizations == 1
+    assert stepper.n_refine_sweeps == 4
+    # small control changes are absorbed by refinement
     for u1 in (0.1, 0.2, 0.3):
-        rho = stepper.step(rho, u1, 1.0)
-    assert stepper.n_factorizations == 4
+        step(u1, 1.0)
+    assert stepper.n_factorizations == 1
+    # a jump like the optimized u1(0) from u1 = 0 needs a new factorization
+    step(-58.7, 1.0)
+    assert stepper.n_factorizations == 2
+
+
+class _NanLU:
+    def solve(self, r):
+        return np.full_like(r, np.nan)
+
+
+def test_stepper_refactors_when_residual_is_not_finite(coarse_op, coarse_rho0):
+    stepper = ImplicitStepper(coarse_op, 0.01)
+    rho = stepper.step(coarse_rho0.flat, 0.0, 0.0)
+    stepper._lu = _NanLU()  # a kept LU whose corrections are not finite
+    ref = direct_step(coarse_op, rho, 0.5, 1.0, 0.01)
+    out = stepper.step(rho, 0.5, 1.0)
+    assert stepper.n_factorizations == 2
+    assert relative_error(out, ref) <= 1e-10
 
 
 # ----------------------------------------------------------------------- flux

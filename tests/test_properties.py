@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from fpcirc.control import ControlTrajectory, total_variation
 from fpcirc.fields import bilinear_interpolate, integrate, make_grid
 from fpcirc.particles import ParticleEnsemble, em_step
-from fpcirc.pde import implicit_step
+from fpcirc.pde import ImplicitStepper
+
+from conftest import direct_step, implicit_step, relative_error
 
 finite_controls = st.floats(
     min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False
@@ -35,6 +37,36 @@ def test_any_control_pair_conserves_total_mass_over_a_step(
     before = integrate(coarse_rho0, coarse_prob.w)
     after = integrate(out, coarse_prob.w)
     assert abs(after - before) <= 1e-11
+
+
+# piecewise-constant controls: (u1, u2, steps) segments, with jumps of any
+# size between them, up to the optimized u1(0) of about -58.7
+control_segments = st.lists(
+    st.tuples(
+        st.floats(min_value=-60.0, max_value=60.0, allow_nan=False),
+        st.floats(min_value=-5.0, max_value=5.0, allow_nan=False),
+        st.integers(min_value=1, max_value=4),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(segments=control_segments)
+def test_stepper_matches_direct_solves_over_control_sequences(
+    coarse_op, coarse_prob, coarse_rho0, segments
+):
+    dt = 5e-3
+    stepper = ImplicitStepper(coarse_op, dt)
+    rho = coarse_rho0.flat.copy()
+    mass0 = float(coarse_prob.w.flat @ rho)
+    for u1, u2, n in segments:
+        for _ in range(n):
+            ref = direct_step(coarse_op, rho, u1, u2, dt)
+            rho = stepper.step(rho, u1, u2)
+            assert relative_error(rho, ref) <= 1e-10
+            assert abs(float(coarse_prob.w.flat @ rho) - mass0) <= 1e-12
 
 
 @settings(max_examples=25, deadline=None)
