@@ -23,12 +23,10 @@ from .fields import (
     make_grid,
     perp_gradient,
     read_scalar_csv,
-    read_vector_csv,
     trapezoid_weights,
     weighted_inner,
     weighted_norm,
     write_scalar_csv,
-    write_vector_csv,
 )
 from .problem import (
     CostWeights,
@@ -93,6 +91,7 @@ from .particles import (
     ParticleEnsemble,
     VelocityRecord,
     angular_momentum,
+    draw_noise,
     em_step,
     estimate_flux,
     histogram_tv_distance,
@@ -104,9 +103,9 @@ __all__ = [
     "__version__",
     "Grid2D", "QuadratureWeights", "ScalarField", "VectorField",
     "curl", "divergence", "gradient", "integrate", "laplacian",
-    "make_grid", "perp_gradient", "read_scalar_csv", "read_vector_csv",
+    "make_grid", "perp_gradient", "read_scalar_csv",
     "trapezoid_weights", "weighted_inner", "weighted_norm",
-    "write_scalar_csv", "write_vector_csv",
+    "write_scalar_csv",
     "CostWeights", "ExperimentConfig", "GaussianComponent",
     "InitialDensitySpec", "QuadraticPotential", "ReferenceProblem",
     "ShapeFunctions", "TabulatedPotential", "build_initial_density",
@@ -125,6 +124,6 @@ __all__ = [
     "IntegrationResult", "compute_flux", "compute_vorticity",
     "controlled_operator", "integrate_fpe",
     "AngularMomentumStat", "FluxEstimate", "ParticleEnsemble",
-    "VelocityRecord", "angular_momentum", "em_step", "estimate_flux",
+    "VelocityRecord", "angular_momentum", "draw_noise", "em_step", "estimate_flux",
     "histogram_tv_distance", "sample_initial", "simulate",
 ]

@@ -12,7 +12,6 @@ by sparse operators is row-major over (i, j), i.e. flat = i*ny + j.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,8 +35,6 @@ __all__ = [
     "bilinear_interpolate",
     "write_scalar_csv",
     "read_scalar_csv",
-    "write_vector_csv",
-    "read_vector_csv",
 ]
 
 # Full round-trip precision for all CSV artifacts.
@@ -307,25 +304,24 @@ def boundary_max_normal(F: VectorField) -> float:
 # CSV serialization: header line, one node per row, row-major order, %.17g.
 
 
+# Rows formatted per write: one % over a block is much faster than a
+# row at a time, and bounding the block keeps the text's memory small.
+_ROWS_PER_BLOCK = 1024
+
+
 def _write_rows(path, header: list[str], columns: list[np.ndarray]) -> None:
+    rows = np.column_stack(columns)
+    template = ",".join([FLOAT_FMT] * rows.shape[1]) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        rows = np.column_stack(columns)
-        writer = csv.writer(fh, lineterminator="\n")
-        for row in rows:
-            writer.writerow([FLOAT_FMT % v for v in row])
+        for start in range(0, len(rows), _ROWS_PER_BLOCK):
+            block = rows[start : start + _ROWS_PER_BLOCK]
+            fh.write((template * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_scalar_csv(f: ScalarField, path) -> None:
     X, Y = f.grid.meshgrid()
     _write_rows(path, ["x", "y", "value"], [X.reshape(-1), Y.reshape(-1), f.flat])
-
-
-def write_vector_csv(F: VectorField, path) -> None:
-    X, Y = F.grid.meshgrid()
-    _write_rows(
-        path, ["x", "y", "vx", "vy"], [X.reshape(-1), Y.reshape(-1), F.x.flat, F.y.flat]
-    )
 
 
 def _grid_from_xy(xcol: np.ndarray, ycol: np.ndarray) -> Grid2D:
@@ -350,17 +346,3 @@ def read_scalar_csv(path, grid: Grid2D | None = None) -> ScalarField:
     if data.shape[0] != g.n_nodes:
         raise ValueError("row count does not match grid size")
     return ScalarField(g, data[:, 2].reshape(g.shape))
-
-
-def read_vector_csv(path, grid: Grid2D | None = None) -> VectorField:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != 4:
-        raise ValueError(f"expected 4 columns x,y,vx,vy in {path}")
-    g = grid if grid is not None else _grid_from_xy(data[:, 0], data[:, 1])
-    if data.shape[0] != g.n_nodes:
-        raise ValueError("row count does not match grid size")
-    return VectorField(
-        g,
-        ScalarField(g, data[:, 2].reshape(g.shape)),
-        ScalarField(g, data[:, 3].reshape(g.shape)),
-    )

@@ -7,6 +7,12 @@ fixed-size chunks, each with its own RNG stream seeded by (seed, chunk
 index); results are bit-identical no matter how many worker threads run
 the chunks.
 
+`simulate` advances one copy of an ensemble per control trajectory in
+lockstep: the copies share the initial sample and every noise increment
+(common random numbers), each substep's normals being drawn once and fed
+to `em_step` for each copy.  Each copy's law is that of a lone run; only
+their joint law is coupled.
+
 The empirical flux estimator bins single-step displacements by the
 position where the step started ("sample mean of the displacement" per
 coarse cell) and multiplies by a binned density; clockwise circulation
@@ -17,8 +23,9 @@ from __future__ import annotations
 
 import csv
 import os
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,6 +40,7 @@ __all__ = [
     "FluxEstimate",
     "AngularMomentumStat",
     "sample_initial",
+    "draw_noise",
     "em_step",
     "simulate",
     "estimate_flux",
@@ -55,6 +63,17 @@ def _worker_count() -> int:
 
 def _chunk_slices(n: int) -> list[slice]:
     return [slice(i, min(i + CHUNK_SIZE, n)) for i in range(0, n, CHUNK_SIZE)]
+
+
+def _for_each_chunk(n: int, executor: ThreadPoolExecutor | None, fn, *args) -> None:
+    """Call fn(sl, *args) for every chunk slice, on the executor if given."""
+    slices = _chunk_slices(n)
+    if executor is None:
+        for sl in slices:
+            fn(sl, *args)
+    else:
+        for f in [executor.submit(fn, sl, *args) for sl in slices]:
+            f.result()
 
 
 @dataclass
@@ -143,7 +162,27 @@ def sample_initial(
     return ParticleEnsemble(positions, L, seed, 0.0, rngs)
 
 
-def _step_chunk(ens, sl, u1, u2, dt, shapes, potential, D):
+def _draw_chunk(sl, rngs, out):
+    rngs[sl.start // CHUNK_SIZE].standard_normal(out=out[sl])
+
+
+def draw_noise(
+    ens: ParticleEnsemble,
+    out: np.ndarray | None = None,
+    *,
+    executor: ThreadPoolExecutor | None = None,
+) -> np.ndarray:
+    """Standard normals for one substep, chunk i drawn from stream i.
+
+    Fills and returns out, an (n, 2) array (allocated when None).
+    """
+    if out is None:
+        out = np.empty_like(ens.positions)
+    _for_each_chunk(ens.n, executor, _draw_chunk, ens.rngs, out)
+    return out
+
+
+def _step_chunk(sl, ens, u1, u2, dt, shapes, potential, D, noise):
     x = ens.positions[sl, 0]
     y = ens.positions[sl, 1]
     gvx, gvy = potential.grad(x, y)
@@ -156,11 +195,9 @@ def _step_chunk(ens, sl, u1, u2, dt, shapes, potential, D):
         spx, spy = shapes.scaled_perp_phi_at(x, y)
         bx = bx - u2 * spx
         by = by - u2 * spy
-    rng = ens.rngs[sl.start // CHUNK_SIZE]
-    noise = rng.standard_normal((sl.stop - sl.start, 2))
     amp = np.sqrt(2.0 * D * dt)
-    ens.positions[sl, 0] = x + dt * bx + amp * noise[:, 0]
-    ens.positions[sl, 1] = y + dt * by + amp * noise[:, 1]
+    ens.positions[sl, 0] = x + dt * bx + amp * noise[sl, 0]
+    ens.positions[sl, 1] = y + dt * by + amp * noise[sl, 1]
     _reflect_into_box(ens.positions[sl, 0], ens.L)
     _reflect_into_box(ens.positions[sl, 1], ens.L)
 
@@ -173,23 +210,22 @@ def em_step(
     shapes: ShapeFunctions,
     potential,
     D: float,
+    noise: np.ndarray,
     *,
     executor: ThreadPoolExecutor | None = None,
 ) -> ParticleEnsemble:
-    """One Euler-Maruyama step with wall reflection; mutates and returns ens."""
+    """One Euler-Maruyama step with wall reflection; mutates and returns ens.
+
+    noise holds the step's standard normals, (n, 2), as `draw_noise`
+    gives them.
+    """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    slices = _chunk_slices(ens.n)
-    if executor is None:
-        for sl in slices:
-            _step_chunk(ens, sl, u1, u2, dt, shapes, potential, D)
-    else:
-        futs = [
-            executor.submit(_step_chunk, ens, sl, u1, u2, dt, shapes, potential, D)
-            for sl in slices
-        ]
-        for f in futs:
-            f.result()
+    if noise.shape != ens.positions.shape:
+        raise ValueError("noise must have the shape of the positions")
+    _for_each_chunk(
+        ens.n, executor, _step_chunk, ens, u1, u2, dt, shapes, potential, D, noise
+    )
     ens.t += dt
     return ens
 
@@ -215,46 +251,79 @@ class VelocityRecord:
 
 def simulate(
     ens: ParticleEnsemble,
-    traj: ControlTrajectory,
+    trajs: Sequence[ControlTrajectory],
     shapes: ShapeFunctions,
     potential,
     D: float,
     *,
     velocity_window: int = 1,
     em_substeps: int = 1,
-) -> tuple[ParticleEnsemble, VelocityRecord]:
-    """Run all control steps; keep displacement samples of the last window.
+) -> list[tuple[ParticleEnsemble, VelocityRecord]]:
+    """Run one copy of ens under each trajectory; keep the last window's samples.
 
-    Each control interval is integrated with em_substeps Euler-Maruyama
-    steps (controls held constant), shrinking the weak error without
-    touching the control grid.
+    The copies step in lockstep from ens's positions: each substep's
+    normals are drawn once from ens's chunk streams and every copy takes
+    them, so each copy is bit-identical to a lone run from an identically
+    seeded ensemble.  The first copy is ens itself, mutated; the others
+    share its RNG streams.  Each control interval is integrated with
+    em_substeps Euler-Maruyama steps (controls held constant), shrinking
+    the weak error without touching the control grid.  Returns one
+    (ensemble, record) pair per trajectory, in order.
     """
-    K = traj.n_steps
+    if not trajs:
+        raise ValueError("need at least one control trajectory")
+    K = trajs[0].n_steps
+    if any(tr.n_steps != K for tr in trajs):
+        raise ValueError("control trajectories must have the same number of steps")
     if not 1 <= velocity_window <= K:
         raise ValueError("velocity window must lie in [1, K]")
     if em_substeps < 1:
         raise ValueError("need at least one substep")
-    dt_s = traj.dt / em_substeps
+    n = ens.n
+    copies = [ens] + [replace(ens, positions=ens.positions.copy()) for _ in trajs[1:]]
+    n_rec = velocity_window * em_substeps * n
+    records = [
+        VelocityRecord(np.empty((n_rec, 2)), np.empty((n_rec, 2)), tr.dt / em_substeps)
+        for tr in trajs
+    ]
+    noise = np.empty_like(ens.positions)
     workers = _worker_count()
     executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    mids, vels = [], []
+    row = 0
     try:
         for k in range(K):
             record = k >= K - velocity_window
             for _ in range(em_substeps):
+                draw_noise(ens, noise, executor=executor)
+                for e, tr, rec in zip(copies, trajs, records):
+                    if record:
+                        # the midpoint block holds the start positions until
+                        # the step is taken
+                        mid = rec.positions[row : row + n]
+                        vel = rec.velocities[row : row + n]
+                        np.copyto(mid, e.positions)
+                    em_step(
+                        e, tr.u1[k], tr.u2[k], rec.dt, shapes, potential, D, noise,
+                        executor=executor,
+                    )
+                    if record:
+                        np.subtract(e.positions, mid, out=vel)
+                        vel /= rec.dt
+                        mid += e.positions
+                        mid *= 0.5
                 if record:
-                    before = ens.positions.copy()
-                em_step(
-                    ens, traj.u1[k], traj.u2[k], dt_s, shapes, potential, D,
-                    executor=executor,
-                )
-                if record:
-                    mids.append(0.5 * (before + ens.positions))
-                    vels.append((ens.positions - before) / dt_s)
+                    row += n
     finally:
         if executor is not None:
             executor.shutdown()
-    return ens, VelocityRecord(np.concatenate(mids), np.concatenate(vels), dt_s)
+    return list(zip(copies, records))
+
+
+def _cell_index(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Index of the cell of each x; points outside go to the nearest end cell."""
+    idx = np.searchsorted(edges, x, side="right")
+    idx -= 1
+    return np.clip(idx, 0, len(edges) - 2, out=idx)
 
 
 @dataclass
@@ -319,9 +388,11 @@ def estimate_flux(
     )
     density = hist / (ens.n * cell_area)
 
-    ix = np.clip(np.searchsorted(xe, record.positions[:, 0], side="right") - 1, 0, coarse_nx - 1)
-    iy = np.clip(np.searchsorted(ye, record.positions[:, 1], side="right") - 1, 0, coarse_ny - 1)
-    flat = ix * coarse_ny + iy
+    # flat cell index ix * coarse_ny + iy, built in place to keep the
+    # temporaries of 1e5-sample records few
+    flat = _cell_index(xe, record.positions[:, 0])
+    flat *= coarse_ny
+    flat += _cell_index(ye, record.positions[:, 1])
     ncell = coarse_nx * coarse_ny
     count = np.bincount(flat, minlength=ncell).astype(float)
     sx = np.bincount(flat, weights=record.velocities[:, 0], minlength=ncell)
@@ -361,12 +432,15 @@ class AngularMomentumStat:
 
 def angular_momentum(record: VelocityRecord, radius: float = 2.0) -> AngularMomentumStat:
     """Circulation statistic over velocity samples with |midpoint| <= radius."""
-    r = np.hypot(record.positions[:, 0], record.positions[:, 1])
-    sel = r <= radius
-    s = (
-        record.positions[sel, 0] * record.velocities[sel, 1]
-        - record.positions[sel, 1] * record.velocities[sel, 0]
-    )
+    px, py = record.positions[:, 0], record.positions[:, 1]
+    sel = np.hypot(px, py) <= radius
+    # x*vy - y*vx in place, the temporary freed before mean and std run
+    s = px[sel]
+    s *= record.velocities[sel, 1]
+    y_vx = py[sel]
+    y_vx *= record.velocities[sel, 0]
+    s -= y_vx
+    del y_vx
     n = int(sel.sum())
     if n < 2:
         raise ValueError("too few samples inside the disc")
@@ -382,7 +456,7 @@ def _cell_assignment(nodes: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """
     n_cells = len(edges) - 1
     S = np.zeros((len(nodes), n_cells))
-    idx = np.clip(np.searchsorted(edges, nodes, side="right") - 1, 0, n_cells - 1)
+    idx = _cell_index(edges, nodes)
     tol = 1e-9 * (edges[-1] - edges[0])
     for i, (x, c) in enumerate(zip(nodes, idx)):
         if c > 0 and abs(x - edges[c]) <= tol:

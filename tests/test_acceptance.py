@@ -127,15 +127,12 @@ def study_particles(study, study_opt):
     traj = study_opt[0].trajectory
     u_zero = ControlTrajectory.from_constant(cfg.t0, cfg.tf, cfg.dt, 0.0, 0.0)
     t0 = time.perf_counter()
-    runs = {}
-    for name, tr in (("opt", traj), ("unc", u_zero)):
-        ens = sample_initial(study.initial, cfg.n_particles, cfg.seed, cfg.L)
-        ens, rec = simulate(
-            ens, tr, study.shapes, study.potential, cfg.D,
-            velocity_window=cfg.velocity_window, em_substeps=cfg.em_substeps,
-        )
-        runs[name] = (ens, rec)
-    runs["elapsed"] = time.perf_counter() - t0
+    ens = sample_initial(study.initial, cfg.n_particles, cfg.seed, cfg.L)
+    opt, unc = simulate(
+        ens, [traj, u_zero], study.shapes, study.potential, cfg.D,
+        velocity_window=cfg.velocity_window, em_substeps=cfg.em_substeps,
+    )
+    runs = {"opt": opt, "unc": unc, "elapsed": time.perf_counter() - t0}
     return runs
 
 

@@ -153,11 +153,49 @@ def test_report_history_is_monotone(good_run):
 
 
 def test_all_manifest_keeps_eigensolve_time(good_run):
-    # optimize and validate load the basis that eigen just computed; the
-    # cache hits must not overwrite the eigensolve time
+    # optimize and validate reuse the basis that eigen just computed; that
+    # must not overwrite the eigensolve time
     _, out, _ = good_run
     manifest = json.loads((out.parent / "manifest_all.json").read_text())
     assert manifest["timings"]["eigen"] > 0.0
+
+
+def _outputs(out):
+    """Every output file's bytes, report.json without its timing field."""
+    files = {
+        str(p.relative_to(out)): p.read_bytes()
+        for p in out.rglob("*")
+        if p.is_file() and p.name not in ("manifest.json", "report.json")
+    }
+    report = json.loads((out / "report.json").read_text())
+    report.pop("elapsed_seconds")
+    return files, report
+
+
+def test_all_reuses_basis_and_matches_separate_stages(tmp_path, monkeypatch):
+    from fpcirc import cli
+
+    # the small failing config runs every stage fastest; validate exits 4
+    cfg = write_config(tmp_path / "cfg.json", BAD_CONFIG)
+    staged = tmp_path / "staged"
+    rcs = [main([stage, "--config", cfg, "--out", str(staged), "--max-iters", "400"])
+           for stage in ("eigen", "optimize", "validate")]
+    assert rcs == [0, 0, 4]
+
+    def no_load(directory):
+        raise AssertionError("`all` reloaded the basis it computed")
+
+    hashed = []
+    real_hash = cli.RunManifest.add_dir_artifact
+    monkeypatch.setattr(cli.SpectralBasis, "load", no_load)
+    monkeypatch.setattr(cli.RunManifest, "add_dir_artifact",
+                        lambda self, *a: hashed.append(a) or real_hash(self, *a))
+    together = tmp_path / "together"
+    assert main(["all", "--config", cfg, "--out", str(together), "--max-iters", "400"]) == 4
+    assert len(hashed) == 1
+    files, report = _outputs(together)
+    assert any(name.endswith(".csv") for name in files)
+    assert (files, report) == _outputs(staged)
 
 
 def test_validate_reuses_cached_basis_and_controls(good_run, capsys):

@@ -1,11 +1,15 @@
 """Grid, quadrature, stencil calculus and field I/O."""
 
+import csv
+
 import numpy as np
 import pytest
 
 from fpcirc.fields import (
+    FLOAT_FMT,
     ScalarField,
     VectorField,
+    _write_rows,
     bilinear_interpolate,
     boundary_max_normal,
     curl,
@@ -16,12 +20,10 @@ from fpcirc.fields import (
     make_grid,
     perp_gradient,
     read_scalar_csv,
-    read_vector_csv,
     trapezoid_weights,
     weighted_inner,
     weighted_norm,
     write_scalar_csv,
-    write_vector_csv,
 )
 
 
@@ -158,20 +160,25 @@ def test_scalar_csv_roundtrip_exact(tmp_path):
     np.testing.assert_array_equal(back.values, f.values)
 
 
-def test_vector_csv_roundtrip_exact(tmp_path):
-    g = make_grid(2.0, 6, 5)
-    rng = np.random.default_rng(6)
-    F = VectorField(
-        g,
-        ScalarField(g, rng.standard_normal((6, 5))),
-        ScalarField(g, rng.standard_normal((6, 5))),
-    )
-    path = tmp_path / "F.csv"
-    write_vector_csv(F, path)
-    back = read_vector_csv(path)
-    assert back.grid == g
-    np.testing.assert_array_equal(back.x.values, F.x.values)
-    np.testing.assert_array_equal(back.y.values, F.y.values)
+def test_write_rows_matches_csv_writer_bytes(tmp_path):
+    # the row-at-a-time csv.writer output is the reference; the rows span
+    # several formatting blocks and carry the extreme and special values
+    special = np.array([-0.0, 5e-324, 1e308, np.nan, np.inf, -np.inf, 0.1, -1.0 / 3.0])
+    rng = np.random.default_rng(8)
+    cols = [rng.standard_normal(2500) * 10.0 ** rng.integers(-300, 300, 2500)
+            for _ in range(3)]
+    for c, shift in zip(cols, (0, 3, 5)):
+        c[: len(special)] = np.roll(special, shift)
+    path = tmp_path / "rows.csv"
+    _write_rows(path, ["a", "b", "c"], cols)
+
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        fh.write("a,b,c\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        for row in np.column_stack(cols):
+            writer.writerow([FLOAT_FMT % v for v in row])
+    assert path.read_bytes() == ref.read_bytes()
 
 
 def test_read_scalar_csv_checks_grid(tmp_path):

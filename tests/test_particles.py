@@ -15,6 +15,7 @@ from fpcirc.particles import (
     ParticleEnsemble,
     _cell_assignment,
     angular_momentum,
+    draw_noise,
     em_step,
     estimate_flux,
     histogram_tv_distance,
@@ -39,9 +40,9 @@ def stationary_run(coarse_prob):
     """Uncontrolled run started in equilibrium, with a velocity record."""
     ens = sample_initial(stationary_spec(), 20000, 42, L)
     traj = ControlTrajectory.from_constant(0.0, 0.25, 5e-3, 0.0, 0.0)
-    ens, record = simulate(
+    [(ens, record)] = simulate(
         ens,
-        traj,
+        [traj],
         coarse_prob.shapes,
         coarse_prob.potential,
         coarse_prob.config.D,
@@ -92,7 +93,8 @@ def test_ensemble_rejects_bad_positions():
 
 def test_em_step_zero_noise_follows_drift(coarse_prob):
     ens = ParticleEnsemble(np.array([[0.0, 0.0], [1.0, 0.0]]), L, 0)
-    em_step(ens, 0.0, 0.0, 0.01, coarse_prob.shapes, coarse_prob.potential, 0.0)
+    em_step(ens, 0.0, 0.0, 0.01, coarse_prob.shapes, coarse_prob.potential, 0.0,
+            draw_noise(ens))
     # -grad V = (-4x, -6y): the origin is fixed, (1, 0) moves to (1 - 4 dt, 0)
     assert np.array_equal(ens.positions[0], [0.0, 0.0])
     np.testing.assert_allclose(ens.positions[1], [1.0 - 0.04, 0.0], rtol=1e-15)
@@ -106,22 +108,31 @@ def test_em_step_reflects_back_into_box(coarse_prob):
     ])
     ens = ParticleEnsemble(pos, L, 1)
     for _ in range(20):
-        em_step(ens, 0.0, 1.0, 0.01, coarse_prob.shapes, coarse_prob.potential, 2.0)
+        em_step(ens, 0.0, 1.0, 0.01, coarse_prob.shapes, coarse_prob.potential, 2.0,
+                draw_noise(ens))
     assert np.max(np.abs(ens.positions)) <= L
 
 
 def test_em_step_rejects_nonpositive_dt(coarse_prob):
     ens = ParticleEnsemble(np.zeros((4, 2)), L, 0)
     with pytest.raises(ValueError):
-        em_step(ens, 0.0, 0.0, 0.0, coarse_prob.shapes, coarse_prob.potential, 2.0)
+        em_step(ens, 0.0, 0.0, 0.0, coarse_prob.shapes, coarse_prob.potential, 2.0,
+                draw_noise(ens))
+
+
+def test_em_step_rejects_misshapen_noise(coarse_prob):
+    ens = ParticleEnsemble(np.zeros((4, 2)), L, 0)
+    with pytest.raises(ValueError):
+        em_step(ens, 0.0, 0.0, 0.01, coarse_prob.shapes, coarse_prob.potential, 2.0,
+                np.zeros((3, 2)))
 
 
 def test_thread_count_does_not_change_results(coarse_prob, monkeypatch):
     def run():
         ens = sample_initial(coarse_prob.initial, 40000, 11, L)  # 3 chunks
         traj = ControlTrajectory.from_constant(0.0, 0.05, 5e-3, 0.5, 1.0)
-        ens, record = simulate(
-            ens, traj, coarse_prob.shapes, coarse_prob.potential, 2.0,
+        [(ens, record)] = simulate(
+            ens, [traj], coarse_prob.shapes, coarse_prob.potential, 2.0,
             velocity_window=2,
         )
         return ens.positions, record.velocities
@@ -134,14 +145,74 @@ def test_thread_count_does_not_change_results(coarse_prob, monkeypatch):
     assert np.array_equal(v1, v4)
 
 
+def _separate_run(ens, traj, shapes, potential, D, window, substeps):
+    """A lone ensemble drawing its own noise: the reference for lockstep."""
+    dt_s = traj.dt / substeps
+    K = traj.n_steps
+    mids, vels = [], []
+    for k in range(K):
+        for _ in range(substeps):
+            before = ens.positions.copy()
+            em_step(ens, traj.u1[k], traj.u2[k], dt_s, shapes, potential, D,
+                    draw_noise(ens))
+            if k >= K - window:
+                mids.append(0.5 * (before + ens.positions))
+                vels.append((ens.positions - before) / dt_s)
+    return ens.positions, np.concatenate(mids), np.concatenate(vels)
+
+
+@pytest.mark.parametrize("threads", ["1", "4"])
+def test_lockstep_matches_separate_runs(coarse_prob, monkeypatch, threads):
+    monkeypatch.setenv("FPCIRC_THREADS", threads)
+    shapes, potential = coarse_prob.shapes, coarse_prob.potential
+    rng = np.random.default_rng(4)
+    traj_a = ControlTrajectory.from_constant(0.0, 0.03, 5e-3, 0.0, 0.0)
+    traj_b = traj_a.with_vector(rng.normal(size=2 * traj_a.n_steps))
+    n = 40000  # 3 chunks
+    ens = sample_initial(coarse_prob.initial, n, 13, L)
+    runs = simulate(ens, [traj_a, traj_b], shapes, potential, 2.0,
+                    velocity_window=2, em_substeps=2)
+    assert len(runs) == 2
+    for (e, rec), traj in zip(runs, (traj_a, traj_b)):
+        ref = sample_initial(coarse_prob.initial, n, 13, L)
+        pos, mids, vels = _separate_run(ref, traj, shapes, potential, 2.0, 2, 2)
+        assert np.array_equal(e.positions, pos)
+        assert np.array_equal(rec.positions, mids)
+        assert np.array_equal(rec.velocities, vels)
+        assert rec.dt == traj.dt / 2
+        assert e.t == pytest.approx(0.03)
+    assert not np.array_equal(runs[0][0].positions, runs[1][0].positions)
+
+
+def test_simulate_calls_em_step_once_per_ensemble_and_substep(coarse_prob, monkeypatch):
+    import fpcirc.particles as particles
+
+    calls = []
+    real = particles.em_step
+
+    def counting(ens, *args, **kwargs):
+        calls.append(id(ens))
+        return real(ens, *args, **kwargs)
+
+    monkeypatch.setattr(particles, "em_step", counting)
+    ens = sample_initial(coarse_prob.initial, 500, 3, L)
+    traj = ControlTrajectory.from_constant(0.0, 0.05, 5e-3, 0.0, 1.0)
+    u_zero = ControlTrajectory.from_constant(0.0, 0.05, 5e-3, 0.0, 0.0)
+    runs = simulate(ens, [traj, u_zero], coarse_prob.shapes, coarse_prob.potential,
+                    2.0, em_substeps=2)
+    assert len(calls) == 2 * traj.n_steps * 2
+    for e, _ in runs:
+        assert calls.count(id(e)) == traj.n_steps * 2
+
+
 def test_simulate_is_deterministic(coarse_prob):
     traj = ControlTrajectory.from_constant(0.0, 0.05, 5e-3, 0.0, 1.0)
 
     def run():
         ens = sample_initial(coarse_prob.initial, 3000, 5, L)
         return simulate(
-            ens, traj, coarse_prob.shapes, coarse_prob.potential, 2.0
-        )[0].positions
+            ens, [traj], coarse_prob.shapes, coarse_prob.potential, 2.0
+        )[0][0].positions
 
     assert np.array_equal(run(), run())
 
@@ -149,8 +220,8 @@ def test_simulate_is_deterministic(coarse_prob):
 def test_simulate_substeps_shrink_record_dt(coarse_prob):
     ens = sample_initial(coarse_prob.initial, 1000, 2, L)
     traj = ControlTrajectory.from_constant(0.0, 0.05, 5e-3, 0.0, 1.0)
-    ens, record = simulate(
-        ens, traj, coarse_prob.shapes, coarse_prob.potential, 2.0,
+    [(ens, record)] = simulate(
+        ens, [traj], coarse_prob.shapes, coarse_prob.potential, 2.0,
         velocity_window=3, em_substeps=2,
     )
     assert record.dt == pytest.approx(2.5e-3)
@@ -163,11 +234,16 @@ def test_simulate_rejects_bad_window_and_substeps(coarse_prob):
     ens = sample_initial(coarse_prob.initial, 100, 0, L)
     traj = ControlTrajectory.from_constant(0.0, 0.05, 5e-3, 0.0, 1.0)
     with pytest.raises(ValueError):
-        simulate(ens, traj, coarse_prob.shapes, coarse_prob.potential, 2.0,
+        simulate(ens, [traj], coarse_prob.shapes, coarse_prob.potential, 2.0,
                  velocity_window=11)
     with pytest.raises(ValueError):
-        simulate(ens, traj, coarse_prob.shapes, coarse_prob.potential, 2.0,
+        simulate(ens, [traj], coarse_prob.shapes, coarse_prob.potential, 2.0,
                  em_substeps=0)
+    with pytest.raises(ValueError):
+        simulate(ens, [], coarse_prob.shapes, coarse_prob.potential, 2.0)
+    shorter = ControlTrajectory.from_constant(0.0, 0.04, 5e-3, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        simulate(ens, [traj, shorter], coarse_prob.shapes, coarse_prob.potential, 2.0)
 
 
 # ------------------------------------------------------------ long-run moments
@@ -177,7 +253,7 @@ def test_uncontrolled_ensemble_equilibrates_to_stationary_moments(coarse_prob):
     n = 5000
     ens = sample_initial(coarse_prob.initial, n, 1, L)
     traj = ControlTrajectory.from_constant(0.0, 5.0, 2e-3, 0.0, 0.0)
-    ens, _ = simulate(ens, traj, coarse_prob.shapes, coarse_prob.potential, 2.0)
+    [(ens, _)] = simulate(ens, [traj], coarse_prob.shapes, coarse_prob.potential, 2.0)
     x, y = ens.positions[:, 0], ens.positions[:, 1]
     vx, vy = 0.5, 1.0 / 3.0
     assert abs(np.mean(x)) <= 3.0 * np.sqrt(vx / n)
@@ -192,7 +268,7 @@ def test_circulating_control_preserves_stationary_moments(coarse_prob):
     n = 5000
     ens = sample_initial(stationary_spec(), n, 9, L)
     traj = ControlTrajectory.from_constant(0.0, 1.0, 2e-3, 0.0, 1.0)
-    ens, _ = simulate(ens, traj, coarse_prob.shapes, coarse_prob.potential, 2.0)
+    [(ens, _)] = simulate(ens, [traj], coarse_prob.shapes, coarse_prob.potential, 2.0)
     x, y = ens.positions[:, 0], ens.positions[:, 1]
     vx, vy = 0.5, 1.0 / 3.0
     assert abs(np.mean(x)) <= 4.0 * np.sqrt(vx / n)
@@ -261,8 +337,8 @@ def test_angular_momentum_standard_error_scales_with_samples(coarse_prob):
     def run(n, seed):
         ens = sample_initial(stationary_spec(), n, seed, L)
         traj = ControlTrajectory.from_constant(0.0, 0.05, 5e-3, 0.0, 0.0)
-        _, record = simulate(
-            ens, traj, coarse_prob.shapes, coarse_prob.potential, 2.0,
+        [(_, record)] = simulate(
+            ens, [traj], coarse_prob.shapes, coarse_prob.potential, 2.0,
             velocity_window=10,
         )
         return angular_momentum(record, radius=2.0)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from fpcirc.control import ControlTrajectory, total_variation
 from fpcirc.fields import bilinear_interpolate, integrate, make_grid
-from fpcirc.particles import ParticleEnsemble, em_step
+from fpcirc.particles import ParticleEnsemble, draw_noise, em_step
 from fpcirc.pde import ImplicitStepper
 
 from conftest import direct_step, implicit_step, relative_error
@@ -82,7 +82,8 @@ def test_reflection_keeps_every_particle_in_the_box(
     rng = np.random.default_rng(seed)
     pos = rng.uniform(-4.0, 4.0, size=(256, 2))
     ens = ParticleEnsemble(pos, 4.0, seed)
-    em_step(ens, u1, u2, dt, coarse_prob.shapes, coarse_prob.potential, 2.0)
+    em_step(ens, u1, u2, dt, coarse_prob.shapes, coarse_prob.potential, 2.0,
+            draw_noise(ens))
     assert np.max(np.abs(ens.positions)) <= 4.0
 
 
