@@ -8,14 +8,14 @@ the three in order.  Every artifact is listed in manifest.json with a
 content digest; CSV outputs are deterministic for a fixed config and
 seed.
 
-Exit codes: 0 ok, 1 config error, 2 eigensolver failure, 3 optimizer
-failure, 4 validation gate failure.
+Exit codes: 0 ok, 1 config error (including controls designed under
+another config), 2 eigensolver failure, 3 optimizer failure, 4
+validation gate failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -26,12 +26,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .fields import (
-    FLOAT_FMT,
-    ScalarField,
-    weighted_norm,
-    write_scalar_csv,
-)
+from .fields import ScalarField, _write_rows, weighted_norm, write_scalar_csv
 from .problem import (
     ExperimentConfig,
     build_initial_density,
@@ -45,7 +40,7 @@ from .operators import (
     assemble_generator,
     eigenbasis,
 )
-from .reduction import ReducedModel, assemble_reduced_model, project, reconstruct
+from .reduction import assemble_reduced_model, project, reconstruct
 from .control import (
     ControlTrajectory,
     LineSearchError,
@@ -56,12 +51,7 @@ from .control import (
     rollout_state,
     total_variation,
 )
-from .pde import (
-    compute_flux,
-    compute_vorticity,
-    controlled_operator,
-    integrate_fpe,
-)
+from .pde import compute_flux, controlled_operator, integrate_fpe, vorticity_error
 from .particles import (
     angular_momentum,
     estimate_flux,
@@ -69,6 +59,7 @@ from .particles import (
     sample_initial,
     simulate,
 )
+from .gates import CIRCULATION_RADIUS, settling_ratio, validation_gates
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -220,11 +211,7 @@ def _build_model(prob, basis):
 
 def _write_reduced_states(path: Path, traj: ControlTrajectory, C: np.ndarray) -> None:
     times = np.concatenate([traj.times, [traj.tf]])
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["t"] + [f"c{m}" for m in range(C.shape[1])])
-        for t, row in zip(times, C):
-            wr.writerow([FLOAT_FMT % t] + [FLOAT_FMT % v for v in row])
+    _write_rows(path, ["t"] + [f"c{m}" for m in range(C.shape[1])], [times, *C.T])
 
 
 def cmd_optimize(cfg: ExperimentConfig, out: Path, manifest: RunManifest, args) -> int:
@@ -285,6 +272,7 @@ def cmd_optimize(cfg: ExperimentConfig, out: Path, manifest: RunManifest, args) 
     rep["objective_history"] = report.objective_history
     rep["grad_check_max_rel_error"] = grad_check
     rep["elapsed_seconds"] = elapsed
+    rep["design_hash"] = cfg.design_hash()
     rep["total_variation"] = {
         "u1": total_variation(traj.u1),
         "u2": total_variation(traj.u2),
@@ -303,36 +291,39 @@ def cmd_optimize(cfg: ExperimentConfig, out: Path, manifest: RunManifest, args) 
     return EXIT_OK
 
 
-def _log_slope(times: np.ndarray, series: np.ndarray, t_min: float) -> float:
-    msk = (times >= t_min) & (series > 0.0)
-    if int(msk.sum()) < 2:
-        return float("nan")
-    A = np.vstack([times[msk], np.ones(int(msk.sum()))]).T
-    sol, *_ = np.linalg.lstsq(A, np.log(series[msk]), rcond=None)
-    return float(sol[0])
+def _stale_controls(out: Path, cfg: ExperimentConfig) -> str | None:
+    """Why out/controls.csv was not designed under cfg, or None if it was.
 
-
-def _slowest_surviving(basis: SpectralBasis, c0: np.ndarray) -> float:
-    """Most slowly decaying analytic rate actually present in c0."""
-    scale = float(np.linalg.norm(c0))
-    for m in range(1, basis.M):
-        if abs(c0[m]) > 1e-8 * scale:
-            return float(basis.eigenvalues[m])
-    return float(basis.eigenvalues[-1])
+    optimize records the config's design hash in report.json; seed,
+    particle count and histogram fields do not enter it.
+    """
+    try:
+        recorded = json.loads((out / "report.json").read_text()).get("design_hash")
+    except (OSError, ValueError):
+        recorded = None
+    current = cfg.design_hash()
+    if recorded == current:
+        return None
+    return (f"controls.csv was designed under design hash {recorded or '(none recorded)'}, "
+            f"the current config has {current}; rerun optimize")
 
 
 def cmd_validate(cfg: ExperimentConfig, out: Path, manifest: RunManifest, args) -> int:
+    controls_path = out / "controls.csv"
+    if not controls_path.exists():
+        rc = cmd_optimize(cfg, out, manifest, args)
+        if rc != EXIT_OK:
+            return rc
+    stale = _stale_controls(out, cfg)
+    if stale is not None:
+        print(f"stale controls: {stale}", file=sys.stderr)
+        return EXIT_CONFIG
     prob = reference_problem(cfg)
     try:
         basis = _get_basis(out, cfg, prob, manifest)
     except EigensolverError as exc:
         print(f"eigensolver failed: {exc}", file=sys.stderr)
         return EXIT_EIGEN
-    controls_path = out / "controls.csv"
-    if not controls_path.exists():
-        rc = cmd_optimize(cfg, out, manifest, args)
-        if rc != EXIT_OK:
-            return rc
     traj = ControlTrajectory.read_csv(controls_path)
     model = _build_model(prob, basis)
     rho0 = build_initial_density(prob.initial, prob.grid, prob.w)
@@ -390,87 +381,31 @@ def cmd_validate(cfg: ExperimentConfig, out: Path, manifest: RunManifest, args) 
     flux_est.write_csv(flux_path)
     manifest.add_artifact("flux_estimate", flux_path, figure="fig5")
 
-    am_opt = angular_momentum(rec_opt, 2.0)
-    am_unc = angular_momentum(rec_unc, 2.0)
-    tv_opt, budget_opt = histogram_tv_distance(
+    tv_opt = histogram_tv_distance(
         ens_opt, res_opt.final_density, prob.w, cfg.coarse_nx, cfg.coarse_ny
     )
-    tv_unc, budget_unc = histogram_tv_distance(
+    tv_unc = histogram_tv_distance(
         ens_unc, res_unc.final_density, prob.w, cfg.coarse_nx, cfg.coarse_ny
     )
 
-    horizon = cfg.tf - cfg.t0
-    slope = _log_slope(
-        res_unc.series.times, res_unc.series.e_rho, cfg.t0 + 0.3 * horizon
+    gates = validation_gates(
+        res_opt.series, res_unc.series, ratios, basis.eigenvalues, c0,
+        angular_momentum(rec_opt, CIRCULATION_RADIUS),
+        angular_momentum(rec_unc, CIRCULATION_RADIUS),
+        tv_opt, tv_unc, t0=cfg.t0, tf=cfg.tf, dt=traj.dt,
     )
-    lam_surv = _slowest_surviving(basis, c0)
-    t_win = cfg.t0 + 0.1 * horizon
-    k_win = max(1, int(np.ceil((t_win - cfg.t0 - 1e-12) / traj.dt)))
-
-    gates = {
-        "mass_optimized": {
-            "value": float(np.max(np.abs(res_opt.series.mass - 1.0))),
-            "threshold": 1e-10,
-            "pass": bool(np.max(np.abs(res_opt.series.mass - 1.0)) <= 1e-10),
-        },
-        "mass_uncontrolled": {
-            "value": float(np.max(np.abs(res_unc.series.mass - 1.0))),
-            "threshold": 1e-10,
-            "pass": bool(np.max(np.abs(res_unc.series.mass - 1.0)) <= 1e-10),
-        },
-        "e_rho_final_improves": {
-            "value": [float(res_opt.series.e_rho[-1]), float(res_unc.series.e_rho[-1])],
-            "pass": bool(res_opt.series.e_rho[-1] < res_unc.series.e_rho[-1]),
-        },
-        "uncontrolled_decay_rate": {
-            "value": slope,
-            "target": lam_surv,
-            "rel_dev": abs(slope - lam_surv) / abs(lam_surv),
-            "pass": bool(abs(slope - lam_surv) <= 0.05 * abs(lam_surv)),
-        },
-        "reduced_full_consistency": {
-            "value": float(np.max(ratios[k_win:])),
-            "threshold": 0.05,
-            "window_t_min": t_win,
-            "initial_truncation_ratio": float(ratios[0]),
-            "pass": bool(np.max(ratios[k_win:]) <= 0.05),
-        },
-        "circulation_optimized": {
-            "z": am_opt.z_score,
-            "mean": am_opt.mean,
-            "se": am_opt.std_error,
-            "pass": bool(am_opt.z_score <= -5.0),
-        },
-        "circulation_uncontrolled": {
-            "z": am_unc.z_score,
-            "pass": bool(abs(am_unc.z_score) <= 3.0),
-        },
-        "tv_optimized": {
-            "value": tv_opt,
-            "budget": budget_opt,
-            "pass": bool(tv_opt <= 3.0 * budget_opt),
-        },
-        "tv_uncontrolled": {
-            "value": tv_unc,
-            "budget": budget_unc,
-            "pass": bool(tv_unc <= 3.0 * budget_unc),
-        },
-    }
+    e_om01 = vorticity_error(
+        compute_flux(rho0, 0.0, 1.0, prob.shapes, prob.rho_s, cfg.D),
+        omega_d, prob.rho_s, prob.w,
+    )
     extras = {
         "e_omega_final_optimized": float(res_opt.series.e_omega[-1]),
-        "e_omega_initial_u01": None,  # filled below
+        "e_omega_initial_u01": float(e_om01),
+        "e_omega_settling_ratio": settling_ratio(res_opt.series.e_omega[-1], e_om01),
         "boundary_flux_ratio_max": res_opt.boundary_flux_ratio_max,
         "n_factorizations": res_opt.n_factorizations,
         "n_refine_sweeps": res_opt.n_refine_sweeps,
     }
-    om01 = compute_vorticity(
-        compute_flux(rho0, 0.0, 1.0, prob.shapes, prob.rho_s, cfg.D)
-    )
-    e_om01 = weighted_norm(
-        ScalarField(prob.grid, om01.values - omega_d.values), prob.rho_s, prob.w
-    )
-    extras["e_omega_initial_u01"] = float(e_om01)
-    extras["e_omega_settling_ratio"] = float(res_opt.series.e_omega[-1] / e_om01)
 
     manifest.data["gates"] = gates
     summary_path = out / "validation_summary.json"

@@ -18,12 +18,11 @@ that fail the positivity test are dropped rather than damped.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import FLOAT_FMT
+from .fields import _write_rows
 from .problem import CostWeights
 from .reduction import ReducedModel
 
@@ -36,7 +35,6 @@ __all__ = [
     "objective",
     "objective_terms",
     "objective_and_gradient",
-    "control_gradient",
     "check_gradient",
     "stationarity_residual",
     "total_variation",
@@ -45,6 +43,12 @@ __all__ = [
 ]
 
 _BLOWUP_NORM = 1e12
+
+# L-BFGS settings: curvature pairs kept, Armijo constant, backtracking
+# halvings per line search
+MEMORY = 20
+ARMIJO_C = 1e-4
+MAX_BACKTRACKS = 60
 
 
 class RolloutBlowupError(RuntimeError):
@@ -108,11 +112,7 @@ class ControlTrajectory:
         return ControlTrajectory(self.t0, self.tf, self.dt, x[:k], x[k:])
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["t", "u1", "u2"])
-            for t, a, b in zip(self.times, self.u1, self.u2):
-                wr.writerow([FLOAT_FMT % t, FLOAT_FMT % a, FLOAT_FMT % b])
+        _write_rows(path, ["t", "u1", "u2"], [self.times, self.u1, self.u2])
 
     @classmethod
     def read_csv(cls, path) -> "ControlTrajectory":
@@ -245,19 +245,10 @@ def objective_and_gradient(
     return float(J), g1, g2
 
 
-def control_gradient(
-    model: ReducedModel,
-    traj: ControlTrajectory,
-    c0: np.ndarray,
-    weights: CostWeights,
-) -> tuple[np.ndarray, np.ndarray]:
-    _, g1, g2 = objective_and_gradient(model, traj, c0, weights)
-    return g1, g2
-
-
-def stationarity_residual(g1: np.ndarray, g2: np.ndarray, dt: float) -> float:
-    """Max-norm gradient rescaled by 1/dt (continuous-time units)."""
-    return float(max(np.max(np.abs(g1)), np.max(np.abs(g2))) / dt)
+def stationarity_residual(g: np.ndarray, dt: float) -> float:
+    """Max-norm of the stacked (u1, u2) gradient rescaled by 1/dt
+    (continuous-time units)."""
+    return float(np.max(np.abs(g)) / dt)
 
 
 def check_gradient(
@@ -275,7 +266,7 @@ def check_gradient(
     Directions are unit vectors over the stacked (u1, u2) samples; the
     comparison is |fd - g.v| / max(|g.v|, |fd|, 1e-12).
     """
-    J0, g1, g2 = objective_and_gradient(model, traj, c0, weights)
+    _, g1, g2 = objective_and_gradient(model, traj, c0, weights)
     g = np.concatenate([g1, g2])
     x = traj.as_vector()
     rng = np.random.default_rng(seed)
@@ -333,6 +324,27 @@ def _two_loop(g, pairs, gamma):
     return -q
 
 
+def _backtrack(f_only, x: np.ndarray, p: np.ndarray, J: float, slope: float) -> float | None:
+    """Armijo backtracking from unit step along p: the accepted step, or None.
+
+    Near the floating-point floor of J exact sufficient decrease stops
+    resolving, so a step that does not increase J is still accepted
+    (the history stays nonincreasing); optimize stops once such a step
+    leaves J unchanged.
+    """
+    step = 1.0
+    for _ in range(MAX_BACKTRACKS):
+        J_new = f_only(x + step * p)
+        decrease = -ARMIJO_C * step * slope
+        if np.isfinite(J_new) and (
+            J_new <= J - decrease
+            or (J_new <= J and decrease <= 4.0 * np.spacing(abs(J) + 1.0))
+        ):
+            return step
+        step *= 0.5
+    return None
+
+
 def optimize(
     model: ReducedModel,
     traj0: ControlTrajectory,
@@ -341,9 +353,6 @@ def optimize(
     *,
     gtol: float = 1e-8,
     max_iterations: int = 2000,
-    memory: int = 20,
-    armijo_c: float = 1e-4,
-    max_backtracks: int = 60,
     callback=None,
 ) -> OptimizationReport:
     """Minimize the discrete objective over the control samples.
@@ -400,36 +409,13 @@ def optimize(
             p = -gamma * g
             slope = float(g @ p)
 
-        # Armijo backtracking; near the floating-point floor of J exact
-        # sufficient decrease stops resolving, so a step that does not
-        # increase J is still accepted (history stays nonincreasing).
-        # If that step leaves J unchanged, the run stops below.
-        step, J_new, accepted = 1.0, np.inf, False
-        for _ in range(max_backtracks):
-            J_new = f_only(x + step * p)
-            if np.isfinite(J_new) and J_new <= J + armijo_c * step * slope:
-                accepted = True
-                break
-            if np.isfinite(J_new) and J_new <= J and -armijo_c * step * slope <= 4.0 * np.spacing(abs(J) + 1.0):
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted and pairs:
+        step = _backtrack(f_only, x, p, J, slope)
+        if step is None and pairs:
             # retry once along steepest descent before giving up
             pairs.clear()
             p = -gamma * g
-            slope = float(g @ p)
-            step = 1.0
-            for _ in range(max_backtracks):
-                J_new = f_only(x + step * p)
-                if np.isfinite(J_new) and J_new <= J + armijo_c * step * slope:
-                    accepted = True
-                    break
-                if np.isfinite(J_new) and J_new <= J and -armijo_c * step * slope <= 4.0 * np.spacing(abs(J) + 1.0):
-                    accepted = True
-                    break
-                step *= 0.5
-        if not accepted:
+            step = _backtrack(f_only, x, p, J, float(g @ p))
+        if step is None:
             if len(history) == 1:
                 # no progress from the very start: the setup is broken
                 raise LineSearchError("no decrease along steepest descent")
@@ -445,7 +431,7 @@ def optimize(
         sy = float(s @ y)
         if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
             pairs.append((s, y, 1.0 / sy))
-            if len(pairs) > memory:
+            if len(pairs) > MEMORY:
                 pairs.pop(0)
             gamma = sy / float(y @ y)
         x = x_new
@@ -457,12 +443,11 @@ def optimize(
             break
 
     traj = traj0.with_vector(x)
-    gmax = float(np.max(np.abs(g)))
     return OptimizationReport(
         trajectory=traj,
         objective=J,
-        grad_inf=gmax,
-        stationarity=gmax / traj.dt,
+        grad_inf=float(np.max(np.abs(g))),
+        stationarity=stationarity_residual(g, traj.dt),
         converged=converged,
         n_iterations=it,
         n_evaluations=n_eval,

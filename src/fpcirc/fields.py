@@ -28,11 +28,8 @@ __all__ = [
     "weighted_inner",
     "weighted_norm",
     "gradient",
-    "perp_gradient",
-    "divergence",
     "curl",
     "laplacian",
-    "bilinear_interpolate",
     "write_scalar_csv",
     "read_scalar_csv",
 ]
@@ -239,21 +236,6 @@ def gradient(f: ScalarField) -> VectorField:
     )
 
 
-def perp_gradient(f: ScalarField) -> VectorField:
-    """Perpendicular gradient (d/dy, -d/dx)."""
-    g = f.grid
-    return VectorField(
-        g,
-        ScalarField(g, _diff1(f.values, g.dy, 1)),
-        ScalarField(g, -_diff1(f.values, g.dx, 0)),
-    )
-
-
-def divergence(F: VectorField) -> ScalarField:
-    g = F.grid
-    return ScalarField(g, _diff1(F.x.values, g.dx, 0) + _diff1(F.y.values, g.dy, 1))
-
-
 def curl(F: VectorField) -> ScalarField:
     """Scalar curl dFy/dx - dFx/dy (equals -<perp_grad, F>)."""
     g = F.grid
@@ -263,28 +245,6 @@ def curl(F: VectorField) -> ScalarField:
 def laplacian(f: ScalarField) -> ScalarField:
     g = f.grid
     return ScalarField(g, _diff2(f.values, g.dx, 0) + _diff2(f.values, g.dy, 1))
-
-
-def bilinear_interpolate(f: ScalarField, x, y):
-    """Bilinear interpolation at arbitrary points inside the domain.
-
-    Points are clipped to the closed square before cell lookup, so
-    querying exactly on the boundary is safe.
-    """
-    g = f.grid
-    xq = np.clip(np.asarray(x, dtype=float), -g.L, g.L)
-    yq = np.clip(np.asarray(y, dtype=float), -g.L, g.L)
-    ix = np.clip(((xq + g.L) / g.dx).astype(int), 0, g.nx - 2)
-    jy = np.clip(((yq + g.L) / g.dy).astype(int), 0, g.ny - 2)
-    tx = (xq - (-g.L + ix * g.dx)) / g.dx
-    ty = (yq - (-g.L + jy * g.dy)) / g.dy
-    v = f.values
-    return (
-        v[ix, jy] * (1 - tx) * (1 - ty)
-        + v[ix + 1, jy] * tx * (1 - ty)
-        + v[ix, jy + 1] * (1 - tx) * ty
-        + v[ix + 1, jy + 1] * tx * ty
-    )
 
 
 def boundary_max_normal(F: VectorField) -> float:

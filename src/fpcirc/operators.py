@@ -20,7 +20,6 @@ its discrete divergence vanishes identically on the stationary density.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -48,11 +47,9 @@ __all__ = [
     "EigensolverError",
     "stationary_density",
     "assemble_generator",
-    "stencil_generator",
     "assemble_control_operators",
     "eigenbasis",
     "selfadjointness_report",
-    "mass_conservation_residual",
 ]
 
 DENSE_EIGEN_THRESHOLD = 2500  # nodes; at or below this a dense solve is used
@@ -169,59 +166,13 @@ def assemble_generator(potential, D: float, grid: Grid2D) -> DiscreteGenerator:
     return DiscreteGenerator(K, grid, D, potential, rho_s, w)
 
 
-def _derivative_matrix_1d(n: int, h: float, order: int) -> sp.csr_matrix:
-    """1D stencil derivative matrix (central interior, one-sided edges)."""
-    if order == 1:
-        rows = [0, 0, 0, n - 1, n - 1, n - 1]
-        cols = [0, 1, 2, n - 1, n - 2, n - 3]
-        vals = [-1.5 / h, 2.0 / h, -0.5 / h, 1.5 / h, -2.0 / h, 0.5 / h]
-        for i in range(1, n - 1):
-            rows += [i, i]
-            cols += [i - 1, i + 1]
-            vals += [-0.5 / h, 0.5 / h]
-    elif order == 2:
-        h2 = h * h
-        rows = [0] * 4 + [n - 1] * 4
-        cols = [0, 1, 2, 3, n - 1, n - 2, n - 3, n - 4]
-        vals = [2 / h2, -5 / h2, 4 / h2, -1 / h2, 2 / h2, -5 / h2, 4 / h2, -1 / h2]
-        for i in range(1, n - 1):
-            rows += [i, i, i]
-            cols += [i - 1, i, i + 1]
-            vals += [1 / h2, -2 / h2, 1 / h2]
-    else:
-        raise ValueError("order must be 1 or 2")
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-
-
-def stencil_generator(potential, D: float, grid: Grid2D) -> sp.csr_matrix:
-    """Non-conservative comparison assembly: Dx diag(Vx) + Dy diag(Vy) + D Lap.
-
-    Same continuous operator as assemble_generator but built from point
-    stencils.  It conserves neither mass nor weighted symmetry exactly;
-    used for cross-discretization checks only.
-    """
-    Dx = sp.kron(_derivative_matrix_1d(grid.nx, grid.dx, 1), sp.identity(grid.ny))
-    Dy = sp.kron(sp.identity(grid.nx), _derivative_matrix_1d(grid.ny, grid.dy, 1))
-    Lap = sp.kron(_derivative_matrix_1d(grid.nx, grid.dx, 2), sp.identity(grid.ny)) + sp.kron(
-        sp.identity(grid.nx), _derivative_matrix_1d(grid.ny, grid.dy, 2)
-    )
-    gv = potential.grad_on_grid(grid)
-    K = (
-        Dx @ sp.diags(gv.x.flat)
-        + Dy @ sp.diags(gv.y.flat)
-        + D * Lap
-    )
-    return K.tocsr()
-
-
 def assemble_control_operators(
     grid: Grid2D, shapes: ShapeFunctions, rho_s: ScalarField
 ) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """Flux-form operators for the two control drifts.
 
-    K_alpha: rho -> div(rho grad alpha); face drift is the analytic
-    gradient of alpha at the face midpoint when available, otherwise the
-    across-face difference of nodal alpha (also second order).
+    K_alpha: rho -> div(rho grad alpha); face drift is the closed-form
+    gradient of alpha at the face midpoint.
 
     K_phi: rho -> div(rho (1/rho_s) perp_grad phi).  The face flux of the
     stationary density is written as a difference of phi at the two face
@@ -232,24 +183,18 @@ def assemble_control_operators(
     Both operators impose zero boundary-face flux.
     """
     nx, ny = grid.nx, grid.ny
-    dx, dy = grid.dx, grid.dy
     L = grid.L
     x, y = grid.x, grid.y
     w = trapezoid_weights(grid)
     r = rho_s.values
 
     # --- K_alpha ---------------------------------------------------------
-    if shapes.grad_alpha_fn is not None:
-        xmid = 0.5 * (x[:-1] + x[1:])
-        ymid = 0.5 * (y[:-1] + y[1:])
-        Xf, Yf = np.meshgrid(xmid, y, indexing="ij")
-        vx = -shapes.grad_alpha_fn(Xf, Yf)[0]
-        Xf, Yf = np.meshgrid(x, ymid, indexing="ij")
-        vy = -shapes.grad_alpha_fn(Xf, Yf)[1]
-    else:
-        a = shapes.alpha.values
-        vx = -(a[1:, :] - a[:-1, :]) / dx
-        vy = -(a[:, 1:] - a[:, :-1]) / dy
+    xmid = 0.5 * (x[:-1] + x[1:])
+    ymid = 0.5 * (y[:-1] + y[1:])
+    Xf, Yf = np.meshgrid(xmid, y, indexing="ij")
+    vx = -shapes.grad_alpha_at(Xf, Yf)[0]
+    Xf, Yf = np.meshgrid(x, ymid, indexing="ij")
+    vy = -shapes.grad_alpha_at(Xf, Yf)[1]
     k_alpha = _flux_divergence_matrix(grid, w, vx, vy, 0.0)
 
     # --- K_phi -----------------------------------------------------------
@@ -280,13 +225,6 @@ def assemble_control_operators(
 
     k_phi = _flux_divergence_matrix(grid, w, vphi_x, vphi_y, 0.0)
     return k_alpha, k_phi
-
-
-def mass_conservation_residual(K: sp.spmatrix, w: QuadratureWeights) -> float:
-    """max_j |(w^T K)_j| / max|K|; zero column-mass up to roundoff for flux ops."""
-    col = np.abs(w.flat @ K)
-    scale = max(float(np.abs(K.data).max()), 1e-300) if K.nnz else 1.0
-    return float(col.max()) / scale
 
 
 def selfadjointness_report(gen: DiscreteGenerator) -> float:
@@ -330,18 +268,6 @@ class SpectralBasis:
     def gram_matrix(self) -> np.ndarray:
         Vm = self.modes_flat()
         return (Vm * (self.w.flat / self.rho_s.flat)) @ Vm.T
-
-    def degenerate_groups(self, rel_tol: float = 1e-6) -> list[list[int]]:
-        """Indices grouped by |lam_i - lam_j| <= rel_tol * max|lam|."""
-        lam = self.eigenvalues
-        tol = rel_tol * max(float(np.abs(lam).max()), 1e-30)
-        groups: list[list[int]] = [[0]]
-        for m in range(1, self.M):
-            if abs(lam[m] - lam[groups[-1][-1]]) <= tol:
-                groups[-1].append(m)
-            else:
-                groups.append([m])
-        return groups
 
     # -- serialization ----------------------------------------------------
 

@@ -21,7 +21,6 @@ shows up as a negative angular-momentum statistic x*vy - y*vx.
 
 from __future__ import annotations
 
-import csv
 import os
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
@@ -29,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fields import FLOAT_FMT
+from .fields import _write_rows
 from .control import ControlTrajectory
 from .problem import InitialDensitySpec, ShapeFunctions
 
@@ -352,21 +351,12 @@ class FluxEstimate:
         return self.density * self.vy
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["x", "y", "density", "vx", "vy", "count"])
-            for i, xv in enumerate(self.x_centers):
-                for j, yv in enumerate(self.y_centers):
-                    wr.writerow(
-                        [
-                            FLOAT_FMT % xv,
-                            FLOAT_FMT % yv,
-                            FLOAT_FMT % self.density[i, j],
-                            FLOAT_FMT % self.vx[i, j],
-                            FLOAT_FMT % self.vy[i, j],
-                            str(int(self.count[i, j])),
-                        ]
-                    )
+        """One row per cell, x outer; count is printed as an integer."""
+        X, Y = np.meshgrid(self.x_centers, self.y_centers, indexing="ij")
+        _write_rows(
+            path, ["x", "y", "density", "vx", "vy", "count"],
+            [a.reshape(-1) for a in (X, Y, self.density, self.vx, self.vy, self.count)],
+        )
 
 
 def estimate_flux(

@@ -23,7 +23,6 @@ gradients and vanishes at rho = rho_s without stencil residue.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,7 +31,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fields import (
-    FLOAT_FMT,
     Grid2D,
     QuadratureWeights,
     ScalarField,
@@ -41,6 +39,7 @@ from .fields import (
     curl,
     gradient,
     integrate,
+    _write_rows,
     weighted_norm,
     write_scalar_csv,
 )
@@ -57,6 +56,7 @@ __all__ = [
     "integrate_fpe",
     "compute_flux",
     "compute_vorticity",
+    "vorticity_error",
 ]
 
 
@@ -190,6 +190,14 @@ def compute_vorticity(flux: VectorField) -> ScalarField:
     return curl(flux)
 
 
+def vorticity_error(
+    flux: VectorField, omega_d: ScalarField, rho_s: ScalarField, w: QuadratureWeights
+) -> float:
+    """||curl(J) - omega_d|| in the 1/rho_s-weighted norm."""
+    om = compute_vorticity(flux)
+    return weighted_norm(ScalarField(flux.grid, om.values - omega_d.values), rho_s, w)
+
+
 @dataclass
 class DiagnosticsSeries:
     """Per-step scalars: deviation norms and total mass."""
@@ -200,11 +208,10 @@ class DiagnosticsSeries:
     mass: np.ndarray
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["t", "e_rho", "e_omega", "mass"])
-            for row in zip(self.times, self.e_rho, self.e_omega, self.mass):
-                wr.writerow([FLOAT_FMT % v for v in row])
+        _write_rows(
+            path, ["t", "e_rho", "e_omega", "mass"],
+            [self.times, self.e_rho, self.e_omega, self.mass],
+        )
 
     @classmethod
     def read_csv(cls, path) -> "DiagnosticsSeries":
@@ -270,13 +277,10 @@ def integrate_fpe(
         ku = min(k, K - 1)
         u1k, u2k = traj.u1[ku], traj.u2[ku]
         flux = compute_flux(field, u1k, u2k, shapes, rho_s, D)
-        om = compute_vorticity(flux)
         e_rho[k] = weighted_norm(
             ScalarField(grid, field.values - rho_s.values), rho_s, op.w
         )
-        e_omega[k] = weighted_norm(
-            ScalarField(grid, om.values - omega_d.values), rho_s, op.w
-        )
+        e_omega[k] = vorticity_error(flux, omega_d, rho_s, op.w)
         mass[k] = integrate(field, op.w)
         fmax = flux.max_norm()
         if fmax > 0.0:

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, asdict, replace
-from typing import Callable, NamedTuple
+from dataclasses import dataclass, field, asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,18 +21,15 @@ from .fields import (
     QuadratureWeights,
     ScalarField,
     VectorField,
-    bilinear_interpolate,
-    gradient,
+    boundary_max_normal,
     integrate,
     laplacian,
     make_grid,
-    perp_gradient,
     trapezoid_weights,
 )
 
 __all__ = [
     "QuadraticPotential",
-    "TabulatedPotential",
     "ShapeFunctions",
     "ShapeBcReport",
     "GaussianComponent",
@@ -40,7 +37,6 @@ __all__ = [
     "CostWeights",
     "ExperimentConfig",
     "reference_shapes",
-    "tabulated_shapes",
     "validate_shape_bcs",
     "desired_vorticity",
     "build_initial_density",
@@ -81,67 +77,46 @@ class QuadraticPotential:
         return {"kind": "quadratic", "a": self.a, "b": self.b}
 
 
-@dataclass
-class TabulatedPotential:
-    """Potential given by nodal values plus a consistent nodal gradient.
+def _grad_alpha(x, y, L):
+    x = np.asarray(x)
+    y = np.asarray(y)
+    k = np.pi / (2 * L)
+    return (
+        -k * np.sin(k * x) * np.cos(k * y),
+        -k * np.cos(k * x) * np.sin(k * y),
+    )
 
-    The supplied gradient must agree with the stencil gradient of the
-    values to 1e-6 relative in max norm; this guards against mismatched
-    inputs.
-    """
 
-    values: ScalarField
-    grad_field: VectorField
+def _bubble(x, y, L):
+    """g(x, y) = (L^2/4)(x^2/L^2 - 1)(y^2/L^2 - 1), zero on the boundary."""
+    x = np.asarray(x)
+    y = np.asarray(y)
+    return (L**2 / 4.0) * (x**2 / L**2 - 1.0) * (y**2 / L**2 - 1.0)
 
-    def __post_init__(self) -> None:
-        if self.values.grid != self.grad_field.grid:
-            raise ValueError("value and gradient grids differ")
-        g = gradient(self.values)
-        scale = max(self.grad_field.max_norm(), 1e-30)
-        err = max(
-            np.abs(g.x.values - self.grad_field.x.values).max(),
-            np.abs(g.y.values - self.grad_field.y.values).max(),
-        )
-        if err > 1e-6 * scale:
-            raise ValueError(
-                f"supplied gradient inconsistent with tabulated values "
-                f"(rel err {err / scale:.3e} > 1e-6)"
-            )
 
-    def value(self, x, y):
-        return bilinear_interpolate(self.values, x, y)
-
-    def grad(self, x, y):
-        return (
-            bilinear_interpolate(self.grad_field.x, x, y),
-            bilinear_interpolate(self.grad_field.y, x, y),
-        )
-
-    def on_grid(self, grid: Grid2D) -> ScalarField:
-        if grid != self.values.grid:
-            raise ValueError("tabulated potential is bound to its own grid")
-        return self.values
-
-    def grad_on_grid(self, grid: Grid2D) -> VectorField:
-        if grid != self.values.grid:
-            raise ValueError("tabulated potential is bound to its own grid")
-        return self.grad_field
-
-    def descriptor(self) -> dict:
-        return {"kind": "tabulated"}
+def _scaled_perp_phi(x, y, L, potential, D):
+    # (1/rho_s) perp_grad(rho_s * g) = perp_grad(g) - g * perp_grad(V) / D
+    x = np.asarray(x)
+    y = np.asarray(y)
+    gx = 0.5 * x * (y**2 / L**2 - 1.0)
+    gy = 0.5 * y * (x**2 / L**2 - 1.0)
+    vx, vy = potential.grad(x, y)
+    g = _bubble(x, y, L)
+    return (gy - g * vy / D, -gx + g * vx / D)
 
 
 @dataclass
 class ShapeFunctions:
-    """Control shape functions: a scalar bump alpha and a stream function phi.
+    """Control shape functions: a cosine bump alpha and a stream function phi.
 
-    Nodal fields are always present.  When the shapes come from closed
-    forms the point evaluators (``*_fn``) are set and ``analytic`` is
-    True; otherwise evaluation falls back to bilinear interpolation of
-    the nodal data.  ``scaled_perp_phi`` holds (1/rho_s) * perp_grad(phi),
-    which is the drift actually entering the dynamics; for the reference
-    shapes it is computed in closed form so no division by a tiny rho_s
-    ever happens.
+    alpha = cos(pi x/2L) cos(pi y/2L) and phi = rho_s * g, where the
+    bubble g (see ``_bubble``) vanishes on the boundary.  The nodal
+    fields are tabulated on the grid; the ``*_at`` methods evaluate the
+    closed forms at arbitrary points.  ``scaled_perp_phi`` holds
+    (1/rho_s) * perp_grad(phi), the drift actually entering the
+    dynamics, in a closed form that never divides by a tiny rho_s.  At
+    a point, rho_s is rho_ref * exp(-(V - v_ref)/D), anchored at the
+    node of largest nodal rho_s so that the two agree.
     """
 
     grid: Grid2D
@@ -150,99 +125,40 @@ class ShapeFunctions:
     phi: ScalarField
     perp_grad_phi: VectorField
     scaled_perp_phi: VectorField
-    analytic: bool = False
-    alpha_fn: Callable | None = None
-    grad_alpha_fn: Callable | None = None
-    phi_fn: Callable | None = None
-    scaled_perp_phi_fn: Callable | None = None
+    potential: QuadraticPotential
+    D: float
+    v_ref: float
+    rho_ref: float
 
     def grad_alpha_at(self, x, y):
-        if self.grad_alpha_fn is not None:
-            return self.grad_alpha_fn(x, y)
-        return (
-            bilinear_interpolate(self.grad_alpha.x, x, y),
-            bilinear_interpolate(self.grad_alpha.y, x, y),
-        )
+        return _grad_alpha(x, y, self.grid.L)
 
     def scaled_perp_phi_at(self, x, y):
-        if self.scaled_perp_phi_fn is not None:
-            return self.scaled_perp_phi_fn(x, y)
-        return (
-            bilinear_interpolate(self.scaled_perp_phi.x, x, y),
-            bilinear_interpolate(self.scaled_perp_phi.y, x, y),
-        )
+        return _scaled_perp_phi(x, y, self.grid.L, self.potential, self.D)
 
     def phi_at(self, x, y):
-        if self.phi_fn is not None:
-            return self.phi_fn(x, y)
-        return bilinear_interpolate(self.phi, x, y)
+        rho_s = self.rho_ref * np.exp(-(self.potential.value(x, y) - self.v_ref) / self.D)
+        return rho_s * _bubble(x, y, self.grid.L)
 
 
 def reference_shapes(
-    grid: Grid2D, potential, D: float, rho_s: ScalarField
+    grid: Grid2D, potential: QuadraticPotential, D: float, rho_s: ScalarField
 ) -> ShapeFunctions:
-    """Reference shapes: alpha = cos(pi x/2L) cos(pi y/2L), phi = rho_s * g.
+    """The reference shapes on a grid, nodal fields from the closed forms.
 
-    g(x, y) = (L^2/4)(x^2/L^2 - 1)(y^2/L^2 - 1) vanishes on the boundary,
-    so phi = 0 on the whole boundary and the rotational drift is exactly
-    tangential there.  All evaluators are closed-form; scaled_perp_phi =
-    perp_grad(g) - g*perp_grad(V)/D, which cancels rho_s algebraically.
+    phi = 0 on the whole boundary, so the rotational drift is exactly
+    tangential there.
     """
     L = grid.L
     X, Y = grid.meshgrid()
-
-    def alpha_fn(x, y):
-        return np.cos(np.pi * np.asarray(x) / (2 * L)) * np.cos(
-            np.pi * np.asarray(y) / (2 * L)
-        )
-
-    def grad_alpha_fn(x, y):
-        x = np.asarray(x)
-        y = np.asarray(y)
-        k = np.pi / (2 * L)
-        return (
-            -k * np.sin(k * x) * np.cos(k * y),
-            -k * np.cos(k * x) * np.sin(k * y),
-        )
-
-    def g_fn(x, y):
-        x = np.asarray(x)
-        y = np.asarray(y)
-        return (L**2 / 4.0) * (x**2 / L**2 - 1.0) * (y**2 / L**2 - 1.0)
-
-    def g_grad_fn(x, y):
-        x = np.asarray(x)
-        y = np.asarray(y)
-        return (
-            0.5 * x * (y**2 / L**2 - 1.0),
-            0.5 * y * (x**2 / L**2 - 1.0),
-        )
-
-    # rho_s evaluator consistent with the nodal field: anchor at the node of
-    # largest rho_s and scale by the analytic Boltzmann ratio.
-    i0, j0 = np.unravel_index(np.argmax(rho_s.values), rho_s.values.shape)
-    v_ref = float(potential.value(grid.x[i0], grid.y[j0]))
-    r_ref = float(rho_s.values[i0, j0])
-
-    def rho_s_fn(x, y):
-        return r_ref * np.exp(-(potential.value(x, y) - v_ref) / D)
-
-    def phi_fn(x, y):
-        return rho_s_fn(x, y) * g_fn(x, y)
-
-    def scaled_perp_phi_fn(x, y):
-        # (1/rho_s) perp_grad(rho_s * g) = perp_grad(g) - g * perp_grad(V) / D
-        gx, gy = g_grad_fn(x, y)
-        vx, vy = potential.grad(x, y)
-        g = g_fn(x, y)
-        return (gy - g * vy / D, -gx + g * vx / D)
-
-    alpha = ScalarField(grid, alpha_fn(X, Y))
-    gax, gay = grad_alpha_fn(X, Y)
+    alpha = ScalarField(
+        grid, np.cos(np.pi * X / (2 * L)) * np.cos(np.pi * Y / (2 * L))
+    )
+    gax, gay = _grad_alpha(X, Y, L)
     grad_alpha = VectorField(grid, ScalarField(grid, gax), ScalarField(grid, gay))
 
-    phi = ScalarField(grid, rho_s.values * g_fn(X, Y))
-    spx, spy = scaled_perp_phi_fn(X, Y)
+    phi = ScalarField(grid, rho_s.values * _bubble(X, Y, L))
+    spx, spy = _scaled_perp_phi(X, Y, L, potential, D)
     scaled = VectorField(grid, ScalarField(grid, spx), ScalarField(grid, spy))
     perp = VectorField(
         grid,
@@ -250,6 +166,7 @@ def reference_shapes(
         ScalarField(grid, rho_s.values * spy),
     )
 
+    i0, j0 = np.unravel_index(np.argmax(rho_s.values), rho_s.values.shape)
     return ShapeFunctions(
         grid=grid,
         alpha=alpha,
@@ -257,36 +174,10 @@ def reference_shapes(
         phi=phi,
         perp_grad_phi=perp,
         scaled_perp_phi=scaled,
-        analytic=True,
-        alpha_fn=alpha_fn,
-        grad_alpha_fn=grad_alpha_fn,
-        phi_fn=phi_fn,
-        scaled_perp_phi_fn=scaled_perp_phi_fn,
-    )
-
-
-def tabulated_shapes(
-    alpha: ScalarField, phi: ScalarField, rho_s: ScalarField
-) -> ShapeFunctions:
-    """Shapes from nodal tables only; gradients by stencil, rho_s floored."""
-    grid = alpha.grid
-    if phi.grid != grid or rho_s.grid != grid:
-        raise ValueError("shape fields live on different grids")
-    perp = perp_gradient(phi)
-    denom = np.maximum(rho_s.values, RHO_FLOOR)
-    scaled = VectorField(
-        grid,
-        ScalarField(grid, perp.x.values / denom),
-        ScalarField(grid, perp.y.values / denom),
-    )
-    return ShapeFunctions(
-        grid=grid,
-        alpha=alpha,
-        grad_alpha=gradient(alpha),
-        phi=phi,
-        perp_grad_phi=perp,
-        scaled_perp_phi=scaled,
-        analytic=False,
+        potential=potential,
+        D=D,
+        v_ref=float(potential.value(grid.x[i0], grid.y[j0])),
+        rho_ref=float(rho_s.values[i0, j0]),
     )
 
 
@@ -296,10 +187,9 @@ class ShapeBcReport:
 
     The shape functions are supposed to satisfy <grad alpha, n> = 0 and
     <perp_grad phi, n> = 0 on the boundary.  The report records the
-    measured maxima and flags each condition against a tolerance
-    (1e-6 for analytic shapes, 5*dx^2 for tabulated ones); it does not
-    raise, because the reference alpha genuinely violates its condition
-    and the violation is part of the record.
+    measured maxima and flags each condition against the tolerance
+    1e-6; it does not raise, because the reference alpha genuinely
+    violates its condition and the violation is part of the record.
     """
 
     max_alpha_normal: float
@@ -310,28 +200,16 @@ class ShapeBcReport:
 
 
 def validate_shape_bcs(shapes: ShapeFunctions) -> ShapeBcReport:
-    grid = shapes.grid
-    tol = 1e-6 if shapes.analytic else 5.0 * grid.dx**2
-
-    def edge_max(F: VectorField) -> float:
-        return float(
-            max(
-                np.abs(F.x.values[0, :]).max(),
-                np.abs(F.x.values[-1, :]).max(),
-                np.abs(F.y.values[:, 0]).max(),
-                np.abs(F.y.values[:, -1]).max(),
-            )
-        )
-
-    a = edge_max(shapes.grad_alpha)
-    p = edge_max(shapes.perp_grad_phi)
+    tol = 1e-6
+    a = boundary_max_normal(shapes.grad_alpha)
+    p = boundary_max_normal(shapes.perp_grad_phi)
     return ShapeBcReport(a, p, tol, a <= tol, p <= tol)
 
 
 def desired_vorticity(shapes: ShapeFunctions) -> ScalarField:
     """Target vorticity omega_d = Laplacian(phi), from the nodal phi.
 
-    The stencil Laplacian of the tabulated phi is used even when phi has
+    The stencil Laplacian of the tabulated phi is used although phi has
     a closed form: the same discrete field then appears in the reduced
     vorticity matrices, which keeps the reduced target exactly
     consistent with this one.
@@ -506,10 +384,23 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()
 
+    def _hash_of(self, keys: tuple[str, ...]) -> str:
+        sub = {k: self.to_dict()[k] for k in keys}
+        return hashlib.sha256(json.dumps(sub, sort_keys=True).encode()).hexdigest()
+
     def eigen_hash(self) -> str:
         """Hash of the fields that determine the eigenbasis artifacts."""
-        sub = {k: self.to_dict()[k] for k in ("L", "nx", "ny", "D", "M")}
-        return hashlib.sha256(json.dumps(sub, sort_keys=True).encode()).hexdigest()
+        return self._hash_of(("L", "nx", "ny", "D", "M"))
+
+    def design_hash(self) -> str:
+        """Hash of the fields that determine the designed controls.
+
+        The seed, particle and histogram fields only affect validation,
+        so controls stay valid when they change.
+        """
+        return self._hash_of(
+            ("L", "nx", "ny", "D", "M", "t0", "tf", "dt", "weights", "u1_init", "u2_init")
+        )
 
 
 class ReferenceProblem(NamedTuple):

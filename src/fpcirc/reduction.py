@@ -25,11 +25,11 @@ circulation checks.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import ScalarField, VectorField, _diff1, curl
+from .fields import ScalarField, _diff1
 from .operators import SpectralBasis, assemble_control_operators
 from .problem import RHO_FLOOR, ShapeFunctions
 
@@ -39,8 +39,6 @@ __all__ = [
     "reconstruct",
     "assemble_reduced_model",
     "reduced_rhs",
-    "flux_from_coefficients",
-    "vorticity_from_coefficients",
 ]
 
 
@@ -202,7 +200,7 @@ def assemble_reduced_model(
     meta = {
         "grid": {"L": grid.L, "nx": grid.nx, "ny": grid.ny},
         "D": D,
-        "potential": potential.descriptor() if hasattr(potential, "descriptor") else {},
+        "potential": potential.descriptor(),
     }
     return ReducedModel(basis.eigenvalues.copy(), B1, B2, A1, A2, A3, d, c_s, meta)
 
@@ -210,34 +208,3 @@ def assemble_reduced_model(
 def reduced_rhs(model: ReducedModel, c: np.ndarray, u1: float, u2: float) -> np.ndarray:
     """Right-hand side Lambda c + u1 B1 c + u2 B2 c."""
     return model.eigenvalues * c + u1 * (model.B1 @ c) + u2 * (model.B2 @ c)
-
-
-def flux_from_coefficients(
-    c: np.ndarray,
-    u1: float,
-    u2: float,
-    basis: SpectralBasis,
-    shapes: ShapeFunctions,
-    D: float,
-) -> VectorField:
-    """Probability flux of the reconstructed density (ratio form).
-
-    Delegates to the grid flux evaluator, so reduced and full
-    diagnostics share one definition; it vanishes identically at
-    c = e0, reproducing detailed balance without discretization residue.
-    """
-    from .pde import compute_flux  # deferred: pde imports this module
-
-    return compute_flux(reconstruct(c, basis), u1, u2, shapes, basis.rho_s, D)
-
-
-def vorticity_from_coefficients(
-    c: np.ndarray,
-    u1: float,
-    u2: float,
-    basis: SpectralBasis,
-    shapes: ShapeFunctions,
-    D: float,
-) -> ScalarField:
-    """Vorticity curl(J) = -<perp_grad, J> of the reconstructed flux."""
-    return curl(flux_from_coefficients(c, u1, u2, basis, shapes, D))

@@ -13,7 +13,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from fpcirc.control import ControlTrajectory
-from fpcirc.fields import ScalarField
+from fpcirc.fields import ScalarField, VectorField, _diff1
 from fpcirc.operators import assemble_generator, eigenbasis
 from fpcirc.pde import ImplicitStepper, controlled_operator
 from fpcirc.problem import (
@@ -109,3 +109,48 @@ def direct_step(op, rho_flat, u1, u2, dt):
 
 def relative_error(x, ref):
     return float(np.linalg.norm(x - ref) / np.linalg.norm(ref))
+
+
+# Oracles of the structural identities and stencil comparisons; the
+# program itself needs none of them.
+
+
+def mass_conservation_residual(K, w):
+    """max_j |(w^T K)_j| / max|K|; zero column-mass up to roundoff for flux ops."""
+    col = np.abs(w.flat @ K)
+    scale = max(float(np.abs(K.data).max()), 1e-300) if K.nnz else 1.0
+    return float(col.max()) / scale
+
+
+def perp_gradient(f):
+    """Stencil perpendicular gradient (d/dy, -d/dx)."""
+    g = f.grid
+    return VectorField(
+        g,
+        ScalarField(g, _diff1(f.values, g.dy, 1)),
+        ScalarField(g, -_diff1(f.values, g.dx, 0)),
+    )
+
+
+def divergence(F):
+    """Stencil divergence dFx/dx + dFy/dy."""
+    g = F.grid
+    return ScalarField(g, _diff1(F.x.values, g.dx, 0) + _diff1(F.y.values, g.dy, 1))
+
+
+def bilinear_interpolate(f, x, y):
+    """Bilinear interpolation of nodal values at points of the closed square."""
+    g = f.grid
+    xq = np.clip(np.asarray(x, dtype=float), -g.L, g.L)
+    yq = np.clip(np.asarray(y, dtype=float), -g.L, g.L)
+    ix = np.clip(((xq + g.L) / g.dx).astype(int), 0, g.nx - 2)
+    jy = np.clip(((yq + g.L) / g.dy).astype(int), 0, g.ny - 2)
+    tx = (xq - (-g.L + ix * g.dx)) / g.dx
+    ty = (yq - (-g.L + jy * g.dy)) / g.dy
+    v = f.values
+    return (
+        v[ix, jy] * (1 - tx) * (1 - ty)
+        + v[ix + 1, jy] * tx * (1 - ty)
+        + v[ix, jy + 1] * (1 - tx) * ty
+        + v[ix + 1, jy + 1] * tx * ty
+    )

@@ -1,0 +1,79 @@
+"""Every name a module exports has a caller inside the package.
+
+A name in some ``fpcirc.<module>.__all__`` that nothing in src/fpcirc
+uses, apart from its own definition and its ``__all__`` entry, is API
+kept alive only by its tests; such code goes, or moves into tests/ when
+it serves as an oracle.  Uses are names and attribute accesses found by
+an AST scan; imports alone do not count.
+"""
+
+import ast
+from pathlib import Path
+
+import fpcirc
+
+PACKAGE = Path(fpcirc.__file__).parent
+
+# Kept on purpose although the package never calls it.
+ALLOWED = {
+    ("reduction", "reduced_rhs"),  # oracle of acceptance criterion 2
+}
+
+
+def _exported(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def _references(tree: ast.AST, skip: ast.AST | None) -> set[str]:
+    """Names and attribute names used in tree, outside the subtree skip."""
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def unused_exports(package: Path) -> set[tuple[str, str]]:
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))}
+    unused = set()
+    for module, tree in trees.items():
+        definitions = {
+            node.name: node
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        }
+        for name in _exported(tree):
+            own = definitions.get(name)
+            if not any(
+                name in _references(other, own if m == module else None)
+                for m, other in trees.items()
+            ):
+                unused.add((module, name))
+    return unused
+
+
+def test_every_export_has_a_caller_in_the_package():
+    assert unused_exports(PACKAGE) - ALLOWED == set()
+
+
+def test_scan_flags_a_test_only_name(tmp_path):
+    (tmp_path / "a.py").write_text(
+        '__all__ = ["used", "lonely", "recursive"]\n'
+        "def used():\n    return 1\n"
+        "def lonely():\n    return used()\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else 0\n"
+    )
+    (tmp_path / "b.py").write_text("from .a import lonely, recursive\n")
+    assert unused_exports(tmp_path) == {("a", "lonely"), ("a", "recursive")}

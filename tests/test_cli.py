@@ -92,6 +92,50 @@ def test_impossible_mode_count_exits_2(tmp_path):
     assert main(["eigen", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
 
 
+def test_rollout_blowup_exits_3(tmp_path, capsys):
+    # the very first rollout of the initial guess overflows
+    cfg = write_config(tmp_path / "cfg.json", dict(BAD_CONFIG, u1_init=1e6))
+    out = tmp_path / "run"
+    assert main(["all", "--config", cfg, "--out", str(out)]) == 3
+    assert "optimizer failed" in capsys.readouterr().err
+    assert not (out / "controls.csv").exists()
+
+
+def test_validate_rejects_controls_of_another_design(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", BAD_CONFIG)
+    out = tmp_path / "run"
+    assert main(["optimize", "--config", cfg, "--out", str(out), "--max-iters", "50"]) == 0
+    designed = json.loads((out / "report.json").read_text())["design_hash"]
+    assert designed == ExperimentConfig.from_dict(BAD_CONFIG).design_hash()
+
+    # validation-only fields leave the controls valid; this config's
+    # consistency gate fails, so validate gets through to exit 4
+    revalidate = dict(BAD_CONFIG, seed=3, n_particles=3000, coarse_nx=8, coarse_ny=12)
+    assert main(["validate", "--config", write_config(tmp_path / "seed.json", revalidate),
+                 "--out", str(out)]) == 4
+    assert (out / "validation_summary.json").is_file()
+    capsys.readouterr()
+
+    other = dict(BAD_CONFIG, u1_init=0.5)
+    assert main(["validate", "--config", write_config(tmp_path / "other.json", other),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert designed in err
+    assert ExperimentConfig.from_dict(other).design_hash() in err
+
+
+def test_validate_rejects_controls_without_design_hash(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", BAD_CONFIG)
+    out = tmp_path / "run"
+    assert main(["optimize", "--config", cfg, "--out", str(out), "--max-iters", "50"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    del report["design_hash"]
+    (out / "report.json").write_text(json.dumps(report))
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == 1
+    assert "none recorded" in capsys.readouterr().err
+    assert not (out / "validation_summary.json").exists()
+
+
 # ------------------------------------------------------------- full pipeline
 
 

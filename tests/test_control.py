@@ -13,7 +13,6 @@ from fpcirc.control import (
     LineSearchError,
     RolloutBlowupError,
     check_gradient,
-    control_gradient,
     multi_start,
     objective,
     objective_and_gradient,
@@ -221,7 +220,7 @@ def test_adjoint_gradient_matches_terminal_cost_closed_form():
         A = np.diag(1.0 + dt * lam) + dt * (traj.u1[k] * B1 + traj.u2[k] * B2)
         mu = A.T @ mu
 
-    g1, g2 = control_gradient(model, traj, c0, weights)
+    _, g1, g2 = objective_and_gradient(model, traj, c0, weights)
     np.testing.assert_allclose(g1, g1_ref, rtol=1e-12, atol=1e-15)
     np.testing.assert_allclose(g2, g2_ref, rtol=1e-12, atol=1e-15)
 
@@ -229,7 +228,7 @@ def test_adjoint_gradient_matches_terminal_cost_closed_form():
 def test_gradient_at_stationary_nominal_point_is_pure_effort(coarse_model):
     traj = ControlTrajectory.from_constant(0.0, 1.0, 0.005, 0.0, 1.0)
     weights = CostWeights()
-    g1, g2 = control_gradient(coarse_model, traj, coarse_model.c_s, weights)
+    _, g1, g2 = objective_and_gradient(coarse_model, traj, coarse_model.c_s, weights)
     np.testing.assert_allclose(g1, 0.0, atol=1e-8)
     np.testing.assert_allclose(g2, traj.dt * weights.R2, atol=1e-8)
 
@@ -244,9 +243,8 @@ def test_adjoint_gradient_matches_finite_differences(
 
 
 def test_stationarity_residual_rescales_by_dt():
-    g1 = np.array([0.0, 3.0])
-    g2 = np.array([1.0, 0.0])
-    assert stationarity_residual(g1, g2, 0.5) == pytest.approx(6.0)
+    g = np.array([0.0, -3.0, 1.0, 0.0])  # stacked (u1, u2) gradient
+    assert stationarity_residual(g, 0.5) == pytest.approx(6.0)
 
 
 # ------------------------------------------------------------------ optimizer
@@ -311,6 +309,38 @@ def test_optimize_stops_at_objective_floor_before_cap():
     assert rep.objective == hist[-1]
     assert all(b <= a for a, b in zip(hist, hist[1:]))
     assert hist[-1] == hist[-2]
+
+
+def test_optimize_retries_along_steepest_descent(monkeypatch):
+    # every trial step along the second iteration's quasi-Newton direction
+    # is rejected; the line search must then retry along steepest descent
+    # rather than stop
+    from fpcirc import control
+
+    model, traj0, c0, weights = small_problem()
+    real_objective = control.objective
+    rejections = {"left": 0}
+
+    def objective(*args):
+        if rejections["left"] > 0:
+            rejections["left"] -= 1
+            raise RolloutBlowupError("rejected by the test")
+        return real_objective(*args)
+
+    seen = {}
+
+    def callback(it, x, J, g):
+        seen[it] = (x.copy(), g.copy())
+        if it == 1:
+            rejections["left"] = control.MAX_BACKTRACKS
+
+    monkeypatch.setattr(control, "objective", objective)
+    rep = optimize(model, traj0, c0, weights, gtol=1e-9, max_iterations=500, callback=callback)
+    assert rejections["left"] == 0
+    assert rep.converged
+    (x1, g1), (x2, _) = seen[1], seen[2]
+    step = x2 - x1
+    np.testing.assert_allclose(step / np.linalg.norm(step), -g1 / np.linalg.norm(g1), atol=1e-12)
 
 
 def test_optimize_requires_positive_effort_weights(coarse_model, coarse_c0):

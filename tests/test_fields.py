@@ -10,21 +10,20 @@ from fpcirc.fields import (
     ScalarField,
     VectorField,
     _write_rows,
-    bilinear_interpolate,
     boundary_max_normal,
     curl,
-    divergence,
     gradient,
     integrate,
     laplacian,
     make_grid,
-    perp_gradient,
     read_scalar_csv,
     trapezoid_weights,
     weighted_inner,
     weighted_norm,
     write_scalar_csv,
 )
+
+from conftest import bilinear_interpolate, divergence, perp_gradient
 
 
 def field_of(grid, fn):

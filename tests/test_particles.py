@@ -324,6 +324,15 @@ def test_flux_estimate_csv_layout(stationary_run, tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "x,y,density,vx,vy,count"
     assert len(lines) == 1 + 25
+    # one row per cell, x outer, every value round-trips; counts print
+    # as integers
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    X, Y = np.meshgrid(est.x_centers, est.y_centers, indexing="ij")
+    for col, ref in zip(data.T, (X, Y, est.density, est.vx, est.vy, est.count)):
+        np.testing.assert_array_equal(col, ref.reshape(-1))
+    assert [line.rsplit(",", 1)[1] for line in lines[1:]] == [
+        str(int(c)) for c in est.count.reshape(-1)
+    ]
 
 
 def test_angular_momentum_is_statistically_zero_at_equilibrium(stationary_run):

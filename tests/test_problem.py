@@ -1,11 +1,12 @@
 """Potential, shape functions, initial density and configuration."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fpcirc.fields import ScalarField, gradient, integrate, make_grid, trapezoid_weights
+from fpcirc.fields import ScalarField, integrate, make_grid, trapezoid_weights
 from fpcirc.operators import stationary_density
 from fpcirc.problem import (
     CostWeights,
@@ -13,14 +14,14 @@ from fpcirc.problem import (
     GaussianComponent,
     InitialDensitySpec,
     QuadraticPotential,
-    TabulatedPotential,
     build_initial_density,
     desired_vorticity,
     reference_problem,
     reference_shapes,
-    tabulated_shapes,
     validate_shape_bcs,
 )
+
+from conftest import bilinear_interpolate, perp_gradient
 
 
 def test_quadratic_potential_values_and_gradient():
@@ -33,24 +34,6 @@ def test_quadratic_potential_values_and_gradient():
 def test_quadratic_potential_rejects_nonconfining():
     with pytest.raises(ValueError):
         QuadraticPotential(0.0, 3.0)
-
-
-def test_tabulated_potential_rejects_inconsistent_gradient():
-    g = make_grid(4.0, 21, 21)
-    V = QuadraticPotential(2.0, 3.0)
-    vals = V.on_grid(g)
-    bad = gradient(vals)
-    bad.x.values[5, 5] += 1.0
-    with pytest.raises(ValueError):
-        TabulatedPotential(vals, bad)
-
-
-def test_tabulated_potential_accepts_consistent_gradient():
-    g = make_grid(4.0, 21, 21)
-    V = QuadraticPotential(2.0, 3.0)
-    vals = V.on_grid(g)
-    tab = TabulatedPotential(vals, gradient(vals))
-    assert tab.value(0.0, 0.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_stationary_density_boltzmann_ratio(coarse_prob):
@@ -81,7 +64,9 @@ def test_stationary_density_normalized():
 
 def test_alpha_peak_and_boundary_normal_derivative(coarse_prob):
     shapes = coarse_prob.shapes
-    assert shapes.alpha_fn(0.0, 0.0) == pytest.approx(1.0, abs=1e-15)
+    g = coarse_prob.grid
+    i0, j0 = np.argmin(np.abs(g.x)), np.argmin(np.abs(g.y))
+    assert shapes.alpha.values[i0, j0] == pytest.approx(1.0, abs=1e-15)
     # the cosine bump has a genuinely nonzero normal derivative on the
     # open edges: d/dx at (L, 0) is -(pi/2L) sin(pi/2) = -pi/8 for L = 4
     gx, gy = shapes.grad_alpha_at(4.0, 0.0)
@@ -120,6 +105,29 @@ def test_scaled_perp_phi_matches_tabulated_ratio(coarse_prob):
     np.testing.assert_allclose(closed, naive, rtol=5e-2, atol=1e-10)
 
 
+def test_point_evaluators_match_nodal_tables(coarse_prob):
+    # the particles use the closed forms, the grid operators the nodal
+    # tables; both must describe the same shapes
+    shapes, g = coarse_prob.shapes, coarse_prob.grid
+    X, Y = g.meshgrid()
+    phi = shapes.phi.values
+    np.testing.assert_allclose(shapes.phi_at(X, Y), phi, rtol=1e-12, atol=1e-15 * np.abs(phi).max())
+    rng = np.random.default_rng(3)
+    x, y = rng.uniform(-g.L, g.L, size=(2, 400))
+    for point, table in (
+        (shapes.grad_alpha_at(x, y), shapes.grad_alpha),
+        (shapes.scaled_perp_phi_at(x, y), shapes.scaled_perp_phi),
+    ):
+        for comp, f in zip(point, (table.x, table.y)):
+            err = np.abs(comp - bilinear_interpolate(f, x, y)).max()
+            assert err <= 0.25 * g.dx**2 * np.abs(f.values).max()  # measured 0.04-0.12
+    # perp_grad_phi is exact; the stencil one is second order
+    stencil = perp_gradient(shapes.phi)
+    for exact, approx in ((shapes.perp_grad_phi.x, stencil.x), (shapes.perp_grad_phi.y, stencil.y)):
+        err = np.abs(exact.values - approx.values).max()
+        assert err <= 2.0 * g.dx**2 * np.abs(exact.values).max()  # measured 0.8-1.2
+
+
 def test_desired_vorticity_integral_shrinks_under_refinement(coarse_prob):
     # the integral of a curl vanishes in the continuum; the stencil
     # residual decays at second order, reaching 1e-6 on the fine grid
@@ -146,16 +154,21 @@ def test_desired_vorticity_negative_at_origin(coarse_prob):
 def test_desired_vorticity_zero_for_zero_phi(coarse_prob):
     g = coarse_prob.grid
     zero = ScalarField(g, np.zeros(g.shape))
-    shapes = tabulated_shapes(coarse_prob.shapes.alpha, zero, coarse_prob.rho_s)
-    om = desired_vorticity(shapes)
+    om = desired_vorticity(replace(coarse_prob.shapes, phi=zero))
     assert np.abs(om.values).max() == 0.0
 
 
-def test_tabulated_shapes_require_common_grid(coarse_prob):
-    other = make_grid(4.0, 21, 21)
-    zero = ScalarField(other, np.zeros(other.shape))
-    with pytest.raises(ValueError):
-        tabulated_shapes(coarse_prob.shapes.alpha, zero, coarse_prob.rho_s)
+def test_design_hash_covers_the_design_fields_only():
+    base = ExperimentConfig()
+    design = {"L": 5.0, "nx": 51, "ny": 61, "D": 1.5, "M": 11, "t0": -1.0,
+              "tf": 2.0, "dt": 0.01, "weights": {"Q2": 3.0}, "u1_init": 0.5,
+              "u2_init": 0.0}
+    validation = {"seed": 7, "n_particles": 10, "coarse_nx": 8, "coarse_ny": 9,
+                  "velocity_window": 3, "em_substeps": 4}
+    assert set(design) | set(validation) == set(base.to_dict())
+    for key, value in {**design, **validation}.items():
+        changed = ExperimentConfig.from_dict({**base.to_dict(), key: value})
+        assert (changed.design_hash() != base.design_hash()) == (key in design), key
 
 
 def test_initial_density_spec_validation():
@@ -268,5 +281,4 @@ def test_reference_shapes_standalone():
     w = trapezoid_weights(g)
     rho = stationary_density(QuadraticPotential(2.0, 3.0), 2.0, g, w)
     shapes = reference_shapes(g, QuadraticPotential(2.0, 3.0), 2.0, rho)
-    assert shapes.analytic
     assert shapes.alpha.values[10, 10] == pytest.approx(1.0)

@@ -10,11 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fpcirc.control import ControlTrajectory, total_variation
-from fpcirc.fields import bilinear_interpolate, integrate, make_grid
+from fpcirc.fields import integrate, make_grid
 from fpcirc.particles import ParticleEnsemble, draw_noise, em_step
 from fpcirc.pde import ImplicitStepper
 
-from conftest import direct_step, implicit_step, relative_error
+from conftest import bilinear_interpolate, direct_step, implicit_step, relative_error
 
 finite_controls = st.floats(
     min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False

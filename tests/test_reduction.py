@@ -4,15 +4,8 @@ import numpy as np
 import pytest
 
 from fpcirc.fields import ScalarField, weighted_norm
-from fpcirc.pde import compute_vorticity
-from fpcirc.reduction import (
-    ReducedModel,
-    flux_from_coefficients,
-    project,
-    reconstruct,
-    reduced_rhs,
-    vorticity_from_coefficients,
-)
+from fpcirc.pde import compute_flux
+from fpcirc.reduction import ReducedModel, project, reconstruct, reduced_rhs
 
 from conftest import assert_unit_vector
 
@@ -162,22 +155,8 @@ def test_model_shape_validation(coarse_model):
 def test_flux_vanishes_at_stationarity(coarse_basis, coarse_prob):
     e0 = np.zeros(coarse_basis.M)
     e0[0] = 1.0
-    J = flux_from_coefficients(
-        e0, 0.0, 0.0, coarse_basis, coarse_prob.shapes, coarse_prob.config.D
+    J = compute_flux(
+        reconstruct(e0, coarse_basis), 0.0, 0.0, coarse_prob.shapes,
+        coarse_basis.rho_s, coarse_prob.config.D,
     )
     assert J.max_norm() == 0.0
-
-
-def test_vorticity_from_coefficients_delegates_to_grid_evaluator(
-    coarse_basis, coarse_prob
-):
-    rng = np.random.default_rng(7)
-    c = rng.standard_normal(coarse_basis.M) * 0.05
-    c[0] = 1.0
-    om = vorticity_from_coefficients(
-        c, 0.3, 0.8, coarse_basis, coarse_prob.shapes, coarse_prob.config.D
-    )
-    J = flux_from_coefficients(
-        c, 0.3, 0.8, coarse_basis, coarse_prob.shapes, coarse_prob.config.D
-    )
-    np.testing.assert_array_equal(om.values, compute_vorticity(J).values)
