@@ -1,12 +1,14 @@
 """Command-line pipeline: eigenbasis, reduction, optimization, validation.
 
-Subcommands compose through an output directory: `eigen` caches the
-spectral basis keyed by the fields that determine it, `optimize` writes
-the control and reduced-trajectory artifacts, `validate` replays the
-full equation and the particle ensemble and grades the run.  `all` runs
-the three in order.  Every artifact is listed in manifest.json with a
-content digest; CSV outputs are deterministic for a fixed config and
-seed.
+Every run first builds its study once: the problem, the eigenbasis
+(loaded from the cache keyed by the fields that determine it, or
+computed and cached), the reduced model and the initial state.  The
+subcommands then share it and compose through an output directory:
+`eigen` reports the basis, `optimize` writes the control and
+reduced-trajectory artifacts, `validate` replays the full equation and
+the particle ensemble and grades the run.  `all` runs the three in
+order.  Every artifact is listed in manifest.json with a content
+digest; the outputs are deterministic for a fixed config and seed.
 
 Exit codes: 0 ok, 1 config error (including controls designed under
 another config), 2 eigensolver failure, 3 optimizer failure, 4
@@ -18,9 +20,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import shutil
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import scipy
@@ -29,6 +33,7 @@ from . import __version__
 from .fields import ScalarField, _write_rows, weighted_norm, write_scalar_csv
 from .problem import (
     ExperimentConfig,
+    ReferenceProblem,
     build_initial_density,
     desired_vorticity,
     reference_problem,
@@ -40,7 +45,7 @@ from .operators import (
     assemble_generator,
     eigenbasis,
 )
-from .reduction import assemble_reduced_model, project, reconstruct
+from .reduction import ReducedModel, assemble_reduced_model, project, reconstruct
 from .control import (
     ControlTrajectory,
     LineSearchError,
@@ -77,15 +82,10 @@ def _sha256(path: Path) -> str:
 
 
 class RunManifest:
-    """Accumulates artifacts, timings and residuals; serialized as JSON.
-
-    It also holds the eigenbasis once a step of the run has it, so the
-    later steps of `all` neither reload nor rehash the cache.
-    """
+    """Accumulates artifacts, timings and residuals; serialized as JSON."""
 
     def __init__(self, out_dir: Path, config: ExperimentConfig):
         self.out_dir = out_dir
-        self.basis: SpectralBasis | None = None
         self.data = {
             "config_hash": config.config_hash(),
             "eigen_hash": config.eigen_hash(),
@@ -143,19 +143,29 @@ def _basis_dir(out: Path, cfg: ExperimentConfig) -> Path:
     return out / f"basis_{cfg.eigen_hash()[:16]}"
 
 
-def _get_basis(out: Path, cfg: ExperimentConfig, prob, manifest: RunManifest):
-    """The run's eigenbasis: held in memory, loaded from the cache, or computed.
+class Study(NamedTuple):
+    """What every stage of a run shares, built once per run."""
 
-    A computed basis is cached for later runs; the in-memory copy is
-    bit-identical to a reload because the CSVs round-trip exactly.
+    prob: ReferenceProblem
+    basis: SpectralBasis
+    model: ReducedModel
+    omega_d: ScalarField
+    rho0: ScalarField
+    c0: np.ndarray
+
+
+def _get_basis(out: Path, cfg: ExperimentConfig, prob, manifest: RunManifest):
+    """The run's eigenbasis: loaded from the cache, or computed and cached.
+
+    A directory that is not a complete cache (an older layout, or a
+    save cut short) is replaced.
     """
-    if manifest.basis is not None:
-        return manifest.basis
     bdir = _basis_dir(out, cfg)
-    if (bdir / "manifest.json").exists():
+    if SpectralBasis.is_cached(bdir):
         basis = SpectralBasis.load(bdir)
-        manifest.data["timings"].setdefault("eigen", 0.0)
+        manifest.data["timings"]["eigen"] = 0.0
     else:
+        shutil.rmtree(bdir, ignore_errors=True)
         gen = assemble_generator(prob.potential, cfg.D, prob.grid)
         t0 = time.perf_counter()
         basis = eigenbasis(gen, prob.rho_s, cfg.M)
@@ -163,37 +173,38 @@ def _get_basis(out: Path, cfg: ExperimentConfig, prob, manifest: RunManifest):
         basis.save(bdir)
     manifest.data["residuals"]["eigen"] = basis.residuals
     manifest.add_dir_artifact("basis", bdir)
-    manifest.basis = basis
     return basis
 
 
-def _write_field_artifacts(out: Path, prob, manifest: RunManifest) -> None:
-    """Write rho_s.csv and omega_d.csv unless an earlier step of the run did."""
-    if "rho_s" in manifest.data["artifacts"]:
-        return
+def build_study(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> Study:
+    """Build the run's study and write rho_s.csv and omega_d.csv.
+
+    Raises EigensolverError when the basis is not cached and cannot be
+    computed.
+    """
+    prob = reference_problem(cfg)
+    basis = _get_basis(out, cfg, prob, manifest)
+    omega_d = desired_vorticity(prob.shapes)
+    model = assemble_reduced_model(basis, prob.shapes, prob.potential, cfg.D, omega_d)
+    rho0 = build_initial_density(prob.initial, prob.grid, prob.w)
     rho_path = out / "rho_s.csv"
     write_scalar_csv(prob.rho_s, rho_path)
     manifest.add_artifact("rho_s", rho_path, figure="fig1")
     om_path = out / "omega_d.csv"
-    write_scalar_csv(desired_vorticity(prob.shapes), om_path)
+    write_scalar_csv(omega_d, om_path)
     manifest.add_artifact("omega_d", om_path, figure="fig2")
+    return Study(prob, basis, model, omega_d, rho0, project(rho0, basis))
 
 
-def cmd_eigen(cfg: ExperimentConfig, out: Path, manifest: RunManifest, args) -> int:
-    prob = reference_problem(cfg)
-    bc = validate_shape_bcs(prob.shapes)
+def cmd_eigen(study: Study, out: Path, manifest: RunManifest, args) -> int:
+    bc = validate_shape_bcs(study.prob.shapes)
     manifest.data["residuals"]["shape_bcs"] = {
         "max_alpha_normal": bc.max_alpha_normal,
         "max_phi_perp_normal": bc.max_phi_perp_normal,
         "alpha_ok": bc.alpha_ok,
         "phi_ok": bc.phi_ok,
     }
-    try:
-        basis = _get_basis(out, cfg, prob, manifest)
-    except EigensolverError as exc:
-        print(f"eigensolver failed: {exc}", file=sys.stderr)
-        return EXIT_EIGEN
-    _write_field_artifacts(out, prob, manifest)
+    basis = study.basis
     print(f"eigenbasis ({basis.M} modes), residuals "
           f"{json.dumps(basis.residuals, default=str)}")
     print(" m  lambda")
@@ -202,28 +213,13 @@ def cmd_eigen(cfg: ExperimentConfig, out: Path, manifest: RunManifest, args) -> 
     return EXIT_OK
 
 
-def _build_model(prob, basis):
-    omega_d = desired_vorticity(prob.shapes)
-    return assemble_reduced_model(
-        basis, prob.shapes, prob.potential, prob.config.D, omega_d
-    )
-
-
 def _write_reduced_states(path: Path, traj: ControlTrajectory, C: np.ndarray) -> None:
     times = np.concatenate([traj.times, [traj.tf]])
     _write_rows(path, ["t"] + [f"c{m}" for m in range(C.shape[1])], [times, *C.T])
 
 
-def cmd_optimize(cfg: ExperimentConfig, out: Path, manifest: RunManifest, args) -> int:
-    prob = reference_problem(cfg)
-    try:
-        basis = _get_basis(out, cfg, prob, manifest)
-    except EigensolverError as exc:
-        print(f"eigensolver failed: {exc}", file=sys.stderr)
-        return EXIT_EIGEN
-    model = _build_model(prob, basis)
-    rho0 = build_initial_density(prob.initial, prob.grid, prob.w)
-    c0 = project(rho0, basis)
+def cmd_optimize(study: Study, out: Path, manifest: RunManifest, args) -> int:
+    cfg, model, c0 = study.prob.config, study.model, study.c0
     traj0 = ControlTrajectory.from_constant(
         cfg.t0, cfg.tf, cfg.dt, cfg.u1_init, cfg.u2_init
     )
@@ -308,28 +304,19 @@ def _stale_controls(out: Path, cfg: ExperimentConfig) -> str | None:
             f"the current config has {current}; rerun optimize")
 
 
-def cmd_validate(cfg: ExperimentConfig, out: Path, manifest: RunManifest, args) -> int:
+def cmd_validate(study: Study, out: Path, manifest: RunManifest, args) -> int:
+    prob, basis, model, omega_d, rho0, c0 = study
+    cfg = prob.config
     controls_path = out / "controls.csv"
     if not controls_path.exists():
-        rc = cmd_optimize(cfg, out, manifest, args)
+        rc = cmd_optimize(study, out, manifest, args)
         if rc != EXIT_OK:
             return rc
     stale = _stale_controls(out, cfg)
     if stale is not None:
         print(f"stale controls: {stale}", file=sys.stderr)
         return EXIT_CONFIG
-    prob = reference_problem(cfg)
-    try:
-        basis = _get_basis(out, cfg, prob, manifest)
-    except EigensolverError as exc:
-        print(f"eigensolver failed: {exc}", file=sys.stderr)
-        return EXIT_EIGEN
     traj = ControlTrajectory.read_csv(controls_path)
-    model = _build_model(prob, basis)
-    rho0 = build_initial_density(prob.initial, prob.grid, prob.w)
-    c0 = project(rho0, basis)
-    omega_d = desired_vorticity(prob.shapes)
-    _write_field_artifacts(out, prob, manifest)
 
     op = controlled_operator(prob.grid, prob.potential, cfg.D, prob.shapes, prob.rho_s)
     u_zero = ControlTrajectory.from_constant(cfg.t0, cfg.tf, cfg.dt, 0.0, 0.0)
@@ -464,6 +451,12 @@ def main(argv=None) -> int:
     (out / "config.json").write_text(cfg.to_json())
     manifest = RunManifest(out, cfg)
     manifest.add_artifact("config", out / "config.json")
+    try:
+        study = build_study(cfg, out, manifest)
+    except EigensolverError as exc:
+        print(f"eigensolver failed: {exc}", file=sys.stderr)
+        manifest.write()
+        return EXIT_EIGEN
 
     steps = {
         "eigen": [cmd_eigen],
@@ -473,7 +466,7 @@ def main(argv=None) -> int:
     }[args.command]
     rc = EXIT_OK
     for step in steps:
-        rc = step(cfg, out, manifest, args)
+        rc = step(study, out, manifest, args)
         if rc != EXIT_OK:
             break
     manifest.write()

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import _write_rows
-from .problem import CostWeights
+from .problem import CostWeights, horizon_steps
 from .reduction import ReducedModel
 
 __all__ = [
@@ -74,12 +74,7 @@ class ControlTrajectory:
     u2: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0 or self.tf <= self.t0:
-            raise ValueError("need tf > t0 and dt > 0")
-        horizon = self.tf - self.t0
-        k = round(horizon / self.dt)
-        if k < 1 or abs(k * self.dt - horizon) > 1e-9 * horizon:
-            raise ValueError("dt must divide the horizon")
+        k = horizon_steps(self.t0, self.tf, self.dt)
         object.__setattr__(self, "u1", np.asarray(self.u1, dtype=float))
         object.__setattr__(self, "u2", np.asarray(self.u2, dtype=float))
         if self.u1.shape != (k,) or self.u2.shape != (k,):
@@ -98,7 +93,7 @@ class ControlTrajectory:
     def from_constant(
         cls, t0: float, tf: float, dt: float, u1: float, u2: float
     ) -> "ControlTrajectory":
-        k = round((tf - t0) / dt)
+        k = horizon_steps(t0, tf, dt)
         return cls(t0, tf, dt, np.full(k, float(u1)), np.full(k, float(u2)))
 
     def as_vector(self) -> np.ndarray:

@@ -31,7 +31,6 @@ __all__ = [
     "curl",
     "laplacian",
     "write_scalar_csv",
-    "read_scalar_csv",
 ]
 
 # Full round-trip precision for all CSV artifacts.
@@ -85,14 +84,6 @@ class Grid2D:
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
         """Node coordinate arrays X, Y of shape (nx, ny)."""
         return np.meshgrid(self.x, self.y, indexing="ij")
-
-    def flat_index(self, i, j):
-        """Flat (row-major) index of node (i, j)."""
-        return np.asarray(i) * self.ny + np.asarray(j)
-
-    def node_of(self, flat):
-        """Inverse of flat_index."""
-        return np.divmod(np.asarray(flat), self.ny)
 
 
 def make_grid(L: float, nx: int, ny: int) -> Grid2D:
@@ -282,27 +273,3 @@ def _write_rows(path, header: list[str], columns: list[np.ndarray]) -> None:
 def write_scalar_csv(f: ScalarField, path) -> None:
     X, Y = f.grid.meshgrid()
     _write_rows(path, ["x", "y", "value"], [X.reshape(-1), Y.reshape(-1), f.flat])
-
-
-def _grid_from_xy(xcol: np.ndarray, ycol: np.ndarray) -> Grid2D:
-    xs = np.unique(xcol)
-    ys = np.unique(ycol)
-    L = float(xs.max())
-    grid = make_grid(L, len(xs), len(ys))
-    if not (
-        np.allclose(xs, grid.x, rtol=0, atol=1e-12 * L)
-        and np.allclose(ys, grid.y, rtol=0, atol=1e-12 * L)
-        and np.isclose(float(ys.max()), L, rtol=0, atol=1e-12 * L)
-    ):
-        raise ValueError("CSV nodes do not form a uniform grid on a square domain")
-    return grid
-
-
-def read_scalar_csv(path, grid: Grid2D | None = None) -> ScalarField:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != 3:
-        raise ValueError(f"expected 3 columns x,y,value in {path}")
-    g = grid if grid is not None else _grid_from_xy(data[:, 0], data[:, 1])
-    if data.shape[0] != g.n_nodes:
-        raise ValueError("row count does not match grid size")
-    return ScalarField(g, data[:, 2].reshape(g.shape))

@@ -35,9 +35,7 @@ from .fields import (
     ScalarField,
     axis_weights,
     make_grid,
-    read_scalar_csv,
     trapezoid_weights,
-    write_scalar_csv,
 )
 from .problem import RHO_FLOOR, ShapeFunctions
 
@@ -258,36 +256,36 @@ class SpectralBasis:
     def M(self) -> int:
         return len(self.eigenvalues)
 
-    def mode(self, m: int) -> ScalarField:
-        return ScalarField(self.grid, self.modes[m])
-
     def modes_flat(self) -> np.ndarray:
         """(M, n_nodes) row-major view of the modes."""
         return self.modes.reshape(self.M, -1)
 
-    def gram_matrix(self) -> np.ndarray:
-        Vm = self.modes_flat()
-        return (Vm * (self.w.flat / self.rho_s.flat)) @ Vm.T
+    # -- cache ------------------------------------------------------------
 
-    # -- serialization ----------------------------------------------------
+    ARRAYS_FILE = "basis.npz"  # modes and rho_s, bit-exact
+
+    @classmethod
+    def is_cached(cls, directory) -> bool:
+        """Whether directory holds a complete cache; other layouts do not count."""
+        d = Path(directory)
+        return (d / cls.ARRAYS_FILE).is_file() and (d / "manifest.json").is_file()
 
     def save(self, directory) -> None:
+        """Write eigenvalues.csv, ARRAYS_FILE and, last, manifest.json.
+
+        The bytes depend only on the basis, so two saves give identical
+        directories.
+        """
         d = Path(directory)
         d.mkdir(parents=True, exist_ok=True)
         with open(d / "eigenvalues.csv", "w") as fh:
             fh.write("index,eigenvalue\n")
             for m, lam in enumerate(self.eigenvalues):
                 fh.write(f"{m},{FLOAT_FMT % lam}\n")
-        files = []
-        for m in range(self.M):
-            name = f"mode_{m:03d}.csv"
-            write_scalar_csv(self.mode(m), d / name)
-            files.append(name)
-        write_scalar_csv(self.rho_s, d / "rho_s.csv")
+        np.savez(d / self.ARRAYS_FILE, modes=self.modes, rho_s=self.rho_s.values)
         manifest = {
             "grid": {"L": self.grid.L, "nx": self.grid.nx, "ny": self.grid.ny},
             "M": self.M,
-            "files": files,
             "residuals": self.residuals,
         }
         with open(d / "manifest.json", "w") as fh:
@@ -300,14 +298,11 @@ class SpectralBasis:
             manifest = json.load(fh)
         g = manifest["grid"]
         grid = make_grid(g["L"], g["nx"], g["ny"])
-        w = trapezoid_weights(grid)
         lam_rows = np.loadtxt(d / "eigenvalues.csv", delimiter=",", skiprows=1, ndmin=2)
-        lam = lam_rows[:, 1]
-        modes = np.empty((manifest["M"], grid.nx, grid.ny))
-        for m, name in enumerate(manifest["files"]):
-            modes[m] = read_scalar_csv(d / name, grid).values
-        rho_s = read_scalar_csv(d / "rho_s.csv", grid)
-        return cls(grid, lam, modes, rho_s, w, manifest.get("residuals", {}))
+        with np.load(d / cls.ARRAYS_FILE) as arrays:
+            modes, rho_s = arrays["modes"], arrays["rho_s"]
+        return cls(grid, lam_rows[:, 1], modes, ScalarField(grid, rho_s),
+                   trapezoid_weights(grid), manifest.get("residuals", {}))
 
 
 def _weighted_orthonormalize(Vm: np.ndarray, wv: np.ndarray) -> np.ndarray:

@@ -327,7 +327,7 @@ def _cell_index(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class FluxEstimate:
-    """Coarse-grid density, mean velocity, and their product (the flux).
+    """Coarse-grid density and mean velocity; their product is the flux.
 
     Cells with fewer than min_count velocity samples carry NaN velocity
     (masked); density is defined for every cell from the final
@@ -341,14 +341,6 @@ class FluxEstimate:
     vy: np.ndarray
     count: np.ndarray
     min_count: int
-
-    @property
-    def flux_x(self) -> np.ndarray:
-        return self.density * self.vx
-
-    @property
-    def flux_y(self) -> np.ndarray:
-        return self.density * self.vy
 
     def write_csv(self, path) -> None:
         """One row per cell, x outer; count is printed as an integer."""

@@ -55,7 +55,6 @@ __all__ = [
     "controlled_operator",
     "integrate_fpe",
     "compute_flux",
-    "compute_vorticity",
     "vorticity_error",
 ]
 
@@ -69,14 +68,6 @@ class ControlledOperator:
     base: sp.csr_matrix
     k_alpha: sp.csr_matrix
     k_phi: sp.csr_matrix
-
-    def matrix(self, u1: float, u2: float) -> sp.csr_matrix:
-        return (self.base + u1 * self.k_alpha + u2 * self.k_phi).tocsr()
-
-    def mass_residual(self, u1: float, u2: float) -> float:
-        """max_j |w^T K(u)|_j, zero for exact column mass conservation."""
-        col = self.w.flat @ self.matrix(u1, u2)
-        return float(np.max(np.abs(col)))
 
 
 def controlled_operator(
@@ -185,16 +176,11 @@ def compute_flux(
     return VectorField(grid, ScalarField(grid, jx), ScalarField(grid, jy))
 
 
-def compute_vorticity(flux: VectorField) -> ScalarField:
-    """Vorticity of the flux, curl(J) = dJy/dx - dJx/dy."""
-    return curl(flux)
-
-
 def vorticity_error(
     flux: VectorField, omega_d: ScalarField, rho_s: ScalarField, w: QuadratureWeights
 ) -> float:
     """||curl(J) - omega_d|| in the 1/rho_s-weighted norm."""
-    om = compute_vorticity(flux)
+    om = curl(flux)
     return weighted_norm(ScalarField(flux.grid, om.values - omega_d.values), rho_s, w)
 
 
@@ -212,13 +198,6 @@ class DiagnosticsSeries:
             path, ["t", "e_rho", "e_omega", "mass"],
             [self.times, self.e_rho, self.e_omega, self.mass],
         )
-
-    @classmethod
-    def read_csv(cls, path) -> "DiagnosticsSeries":
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        if data.shape[1] != 4:
-            raise ValueError("expected columns t,e_rho,e_omega,mass")
-        return cls(data[:, 0], data[:, 1], data[:, 2], data[:, 3])
 
 
 @dataclass

@@ -36,6 +36,7 @@ __all__ = [
     "InitialDensitySpec",
     "CostWeights",
     "ExperimentConfig",
+    "horizon_steps",
     "reference_shapes",
     "validate_shape_bcs",
     "desired_vorticity",
@@ -277,6 +278,17 @@ def build_initial_density(
     return rho
 
 
+def horizon_steps(t0: float, tf: float, dt: float) -> int:
+    """Step count K = (tf - t0)/dt of a finite horizon that dt divides, K >= 1."""
+    horizon = tf - t0
+    if not (dt > 0.0 and horizon > 0.0 and np.isfinite(horizon)):
+        raise ValueError(f"need a finite tf > t0 and dt > 0, got t0={t0}, tf={tf}, dt={dt}")
+    k = round(horizon / dt)
+    if abs(k * dt - horizon) > 1e-9 * horizon:  # also rejects k = 0
+        raise ValueError(f"dt={dt} does not divide the horizon tf - t0 = {horizon}")
+    return k
+
+
 @dataclass(frozen=True)
 class CostWeights:
     """Objective weights; all nonnegative.  optimize() additionally
@@ -327,14 +339,7 @@ class ExperimentConfig:
             raise ValueError("diffusion coefficient D must be positive")
         if self.M < 1:
             raise ValueError("mode count M must be at least 1")
-        if not self.tf > self.t0:
-            raise ValueError("tf must exceed t0")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        horizon = self.tf - self.t0
-        k = round(horizon / self.dt)
-        if k < 1 or abs(k * self.dt - horizon) > 1e-9 * horizon:
-            raise ValueError("horizon (tf - t0) must be an integer number of steps")
+        horizon_steps(self.t0, self.tf, self.dt)
         if self.n_particles < 1:
             raise ValueError("n_particles must be positive")
         if self.coarse_nx < 2 or self.coarse_ny < 2:
@@ -345,10 +350,6 @@ class ExperimentConfig:
             raise ValueError("em_substeps must be at least 1")
         # grid validity via make_grid
         make_grid(self.L, self.nx, self.ny)
-
-    @property
-    def n_steps(self) -> int:
-        return round((self.tf - self.t0) / self.dt)
 
     def to_dict(self) -> dict:
         d = asdict(self)

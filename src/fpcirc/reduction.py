@@ -85,25 +85,6 @@ class ReducedModel:
             if getattr(self, name).shape != (M,):
                 raise ValueError(f"{name} must have length {M}")
 
-    def vorticity_matrix(self, u1: float, u2: float) -> np.ndarray:
-        return self.A1 + u1 * self.A2 + u2 * self.A3
-
-    def truncate(self, M: int) -> "ReducedModel":
-        """Leading M-mode submodel (the basis is nested)."""
-        if not 1 <= M <= self.M:
-            raise ValueError(f"cannot truncate to M={M}")
-        return ReducedModel(
-            self.eigenvalues[:M].copy(),
-            self.B1[:M, :M].copy(),
-            self.B2[:M, :M].copy(),
-            self.A1[:M, :M].copy(),
-            self.A2[:M, :M].copy(),
-            self.A3[:M, :M].copy(),
-            self.d[:M].copy(),
-            self.c_s[:M].copy(),
-            dict(self.meta, truncated_from=self.M),
-        )
-
     def save(self, path) -> None:
         payload = {
             "M": self.M,
@@ -119,22 +100,6 @@ class ReducedModel:
         }
         with open(path, "w") as fh:
             json.dump(payload, fh, sort_keys=True)
-
-    @classmethod
-    def load(cls, path) -> "ReducedModel":
-        with open(path) as fh:
-            p = json.load(fh)
-        return cls(
-            np.asarray(p["eigenvalues"], dtype=float),
-            np.asarray(p["B1"], dtype=float),
-            np.asarray(p["B2"], dtype=float),
-            np.asarray(p["A1"], dtype=float),
-            np.asarray(p["A2"], dtype=float),
-            np.asarray(p["A3"], dtype=float),
-            np.asarray(p["d"], dtype=float),
-            np.asarray(p["c_s"], dtype=float),
-            p.get("meta", {}),
-        )
 
 
 def assemble_reduced_model(

@@ -7,6 +7,8 @@ here assert structure, identities and refinement behavior; the
 full-scale numbers live in test_acceptance.py.
 """
 
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -22,7 +24,7 @@ from fpcirc.problem import (
     desired_vorticity,
     reference_problem,
 )
-from fpcirc.reduction import assemble_reduced_model, project
+from fpcirc.reduction import ReducedModel, assemble_reduced_model, project
 
 
 @pytest.fixture(scope="session")
@@ -101,10 +103,20 @@ def implicit_step(rho, op, u1, u2, dt):
     return ScalarField(rho.grid, out.reshape(rho.grid.nx, rho.grid.ny))
 
 
+def controlled_matrix(op, u1, u2):
+    """K(u1, u2) = K + u1 K_alpha + u2 K_phi, summed as sparse matrices."""
+    return (op.base + u1 * op.k_alpha + u2 * op.k_phi).tocsr()
+
+
+def column_mass_residual(op, u1, u2):
+    """max_j |w^T K(u)|_j, zero for exact column mass conservation."""
+    return float(np.max(np.abs(op.w.flat @ controlled_matrix(op, u1, u2))))
+
+
 def direct_step(op, rho_flat, u1, u2, dt):
     """Oracle: solve (I - dt K(u)) x = rho with its own LU factorization."""
     eye = sp.identity(op.base.shape[0], format="csc")
-    return spla.splu((eye - dt * op.matrix(u1, u2)).tocsc()).solve(rho_flat)
+    return spla.splu((eye - dt * controlled_matrix(op, u1, u2)).tocsc()).solve(rho_flat)
 
 
 def relative_error(x, ref):
@@ -113,6 +125,12 @@ def relative_error(x, ref):
 
 # Oracles of the structural identities and stencil comparisons; the
 # program itself needs none of them.
+
+
+def gram_matrix(basis):
+    """Weighted Gram matrix <v_m, v_k> of the basis modes."""
+    Vm = basis.modes_flat()
+    return (Vm * (basis.w.flat / basis.rho_s.flat)) @ Vm.T
 
 
 def mass_conservation_residual(K, w):
@@ -154,3 +172,41 @@ def bilinear_interpolate(f, x, y):
         + v[ix, jy + 1] * (1 - tx) * ty
         + v[ix + 1, jy + 1] * tx * ty
     )
+
+
+# Readers and helpers the program does not need.
+
+
+def read_scalar_csv(path, grid):
+    """A field CSV written by write_scalar_csv, checked against grid's nodes."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    X, Y = grid.meshgrid()
+    assert np.array_equal(data[:, 0], X.reshape(-1))
+    assert np.array_equal(data[:, 1], Y.reshape(-1))
+    return ScalarField(grid, data[:, 2].reshape(grid.shape))
+
+
+def truncate(model, M):
+    """Leading M-mode submodel of a reduced model (the basis is nested)."""
+    return ReducedModel(
+        model.eigenvalues[:M], model.B1[:M, :M], model.B2[:M, :M],
+        model.A1[:M, :M], model.A2[:M, :M], model.A3[:M, :M],
+        model.d[:M], model.c_s[:M], model.meta,
+    )
+
+
+def run_outputs(out):
+    """Every output file of a CLI run by relative path, as bytes.
+
+    The run's manifest.json (timings) is left out, and report.json is
+    parsed with its elapsed_seconds removed.
+    """
+    files = {
+        str(p.relative_to(out)): p.read_bytes()
+        for p in sorted(out.rglob("*"))
+        if p.is_file() and p.relative_to(out).as_posix() != "manifest.json"
+    }
+    report = json.loads(files["report.json"])
+    report.pop("elapsed_seconds")
+    files["report.json"] = report
+    return files

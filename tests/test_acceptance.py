@@ -9,15 +9,13 @@ the same rules in fpcirc.gates.  Informational values print with -s /
 on failure.
 """
 
-import hashlib
-import json
 import time
 
 import numpy as np
 import pytest
 
 from fpcirc import gates
-from fpcirc.cli import main as cli_main
+from fpcirc.cli import _basis_dir, main as cli_main
 from fpcirc.control import (
     ControlTrajectory,
     check_gradient,
@@ -41,6 +39,8 @@ from fpcirc.problem import (
     reference_problem,
 )
 from fpcirc.reduction import assemble_reduced_model, project, reconstruct, reduced_rhs
+
+from conftest import gram_matrix, run_outputs, truncate
 
 
 @pytest.fixture(scope="session")
@@ -145,7 +145,7 @@ def mode_sweep(study, study_model, study_c0, initial_traj, study_opt):
     weights = study.config.weights
     own, cross = [], []
     for M in (6, 11, 16):
-        sub = study_model.truncate(M)
+        sub = truncate(study_model, M)
         rep = optimize(
             sub, initial_traj, study_c0[:M], weights,
             gtol=1e-8, max_iterations=600,
@@ -167,7 +167,7 @@ def test_criterion_1_spectral_basis_accuracy(study_basis):
     assert abs(lam[0]) <= 1e-8
     assert abs(lam[1] - (-4.0)) <= 0.02 * 4.0
     assert abs(lam[2] - (-6.0)) <= 0.02 * 6.0
-    G = basis.gram_matrix()
+    G = gram_matrix(basis)
     assert np.max(np.abs(G - np.eye(basis.M))) <= 1e-8
     assert elapsed <= 300.0
 
@@ -320,7 +320,7 @@ def test_criterion_9_deterministic_artifacts(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(cfg.to_json())
 
-    digests = []
+    outputs = []
     for run in ("a", "b"):
         out = tmp_path / run
         rc = cli_main([
@@ -328,14 +328,15 @@ def test_criterion_9_deterministic_artifacts(tmp_path):
             "--max-iters", "400",
         ])
         assert rc == 0
-        files = sorted(p for p in out.rglob("*.csv"))
-        files.append(out / "validation_summary.json")
-        digests.append({
-            str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in files
-        })
-    assert len(digests[0]) > 10
-    assert digests[0] == digests[1]
+        outputs.append(run_outputs(out))
+    basis = _basis_dir(out, cfg).name
+    assert set(outputs[0]) == {
+        "config.json", "rho_s.csv", "omega_d.csv", "controls.csv", "reduced_model.json",
+        "reduced_states.csv", "report.json", "diagnostics_optimized.csv",
+        "diagnostics_uncontrolled.csv", "flux_estimate.csv", "validation_summary.json",
+        f"{basis}/eigenvalues.csv", f"{basis}/basis.npz", f"{basis}/manifest.json",
+    }
+    assert outputs[0] == outputs[1]
 
 
 # -------------------------------------------------------------- supplementary

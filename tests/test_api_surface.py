@@ -1,10 +1,12 @@
-"""Every name a module exports has a caller inside the package.
+"""Every name a module exports, and every public method and property of
+its classes, has a caller inside the package.
 
-A name in some ``fpcirc.<module>.__all__`` that nothing in src/fpcirc
-uses, apart from its own definition and its ``__all__`` entry, is API
-kept alive only by its tests; such code goes, or moves into tests/ when
-it serves as an oracle.  Uses are names and attribute accesses found by
-an AST scan; imports alone do not count.
+A name in some ``fpcirc.<module>.__all__``, or a public member of a
+class, that nothing in src/fpcirc uses apart from its own definition
+(and its ``__all__`` entry) is API kept alive only by its tests; such
+code goes, or moves into tests/ when it serves as an oracle.  Uses are
+names and attribute accesses found by an AST scan, matched by name
+alone; imports do not count.
 """
 
 import ast
@@ -45,22 +47,32 @@ def _references(tree: ast.AST, skip: ast.AST | None) -> set[str]:
     return found
 
 
+def _candidates(tree: ast.Module):
+    """(label, name, definition) of each exported name and public class member."""
+    definitions = {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    for name in _exported(tree):
+        yield name, name, definitions.get(name)
+    for cls in definitions.values():
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    yield f"{cls.name}.{node.name}", node.name, node
+
+
 def unused_exports(package: Path) -> set[tuple[str, str]]:
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))}
     unused = set()
     for module, tree in trees.items():
-        definitions = {
-            node.name: node
-            for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        }
-        for name in _exported(tree):
-            own = definitions.get(name)
+        for label, name, own in _candidates(tree):
             if not any(
                 name in _references(other, own if m == module else None)
                 for m, other in trees.items()
             ):
-                unused.add((module, name))
+                unused.add((module, label))
     return unused
 
 
@@ -70,10 +82,16 @@ def test_every_export_has_a_caller_in_the_package():
 
 def test_scan_flags_a_test_only_name(tmp_path):
     (tmp_path / "a.py").write_text(
-        '__all__ = ["used", "lonely", "recursive"]\n'
-        "def used():\n    return 1\n"
+        '__all__ = ["used", "lonely", "recursive", "Box"]\n'
+        "def used():\n    return Box().size\n"
         "def lonely():\n    return used()\n"
         "def recursive(n):\n    return recursive(n - 1) if n else 0\n"
+        "class Box:\n"
+        "    def __init__(self):\n        self.n = 1\n"
+        "    @property\n    def size(self):\n        return self.n\n"
+        "    def spare(self):\n        return self.spare()\n"
     )
     (tmp_path / "b.py").write_text("from .a import lonely, recursive\n")
-    assert unused_exports(tmp_path) == {("a", "lonely"), ("a", "recursive")}
+    assert unused_exports(tmp_path) == {
+        ("a", "lonely"), ("a", "recursive"), ("a", "Box.spare")
+    }

@@ -7,12 +7,17 @@ study is exercised by the acceptance suite.
 
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from fpcirc.cli import main
+from fpcirc.fields import ScalarField, write_scalar_csv
+from fpcirc.operators import SpectralBasis
 from fpcirc.problem import ExperimentConfig
+
+from conftest import run_outputs
 
 GOOD_CONFIG = {
     "L": 4.0,
@@ -85,11 +90,13 @@ def test_nondividing_dt_exits_1(tmp_path):
     assert main(["eigen", "--config", cfg]) == 1
 
 
-def test_impossible_mode_count_exits_2(tmp_path):
+def test_impossible_mode_count_exits_2(tmp_path, capsys):
     cfg = write_config(
         tmp_path / "cfg.json", dict(GOOD_CONFIG, nx=5, ny=5, M=30, n_particles=10)
     )
-    assert main(["eigen", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    for command in ("eigen", "optimize", "validate", "all"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 2, command
+        assert "eigensolver failed" in capsys.readouterr().err
 
 
 def test_rollout_blowup_exits_3(tmp_path, capsys):
@@ -204,18 +211,6 @@ def test_all_manifest_keeps_eigensolve_time(good_run):
     assert manifest["timings"]["eigen"] > 0.0
 
 
-def _outputs(out):
-    """Every output file's bytes, report.json without its timing field."""
-    files = {
-        str(p.relative_to(out)): p.read_bytes()
-        for p in out.rglob("*")
-        if p.is_file() and p.name not in ("manifest.json", "report.json")
-    }
-    report = json.loads((out / "report.json").read_text())
-    report.pop("elapsed_seconds")
-    return files, report
-
-
 def test_all_reuses_basis_and_matches_separate_stages(tmp_path, monkeypatch):
     from fpcirc import cli
 
@@ -229,17 +224,45 @@ def test_all_reuses_basis_and_matches_separate_stages(tmp_path, monkeypatch):
     def no_load(directory):
         raise AssertionError("`all` reloaded the basis it computed")
 
-    hashed = []
-    real_hash = cli.RunManifest.add_dir_artifact
+    calls = []
+
+    def counted(name, fn):
+        return lambda *a, **k: calls.append(name) or fn(*a, **k)
+
     monkeypatch.setattr(cli.SpectralBasis, "load", no_load)
     monkeypatch.setattr(cli.RunManifest, "add_dir_artifact",
-                        lambda self, *a: hashed.append(a) or real_hash(self, *a))
+                        counted("add_dir_artifact", cli.RunManifest.add_dir_artifact))
+    for name in ("eigenbasis", "assemble_reduced_model", "reference_problem"):
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
     together = tmp_path / "together"
     assert main(["all", "--config", cfg, "--out", str(together), "--max-iters", "400"]) == 4
-    assert len(hashed) == 1
-    files, report = _outputs(together)
+    assert sorted(calls) == ["add_dir_artifact", "assemble_reduced_model",
+                             "eigenbasis", "reference_problem"]
+    files = run_outputs(together)
     assert any(name.endswith(".csv") for name in files)
-    assert (files, report) == _outputs(staged)
+    assert files == run_outputs(staged)
+
+
+def test_old_csv_basis_cache_is_recomputed(good_run, tmp_path):
+    # the cache layout before the binary file: one CSV per mode plus rho_s.csv
+    _, good_out, cfg_path = good_run
+    out = tmp_path / "run"
+    shutil.copytree(good_out, out)
+    bdir = next(out.glob("basis_*"))
+    fresh = {p.name: p.read_bytes() for p in bdir.iterdir()}
+    basis = SpectralBasis.load(bdir)
+    (bdir / SpectralBasis.ARRAYS_FILE).unlink()
+    files = []
+    for m, mode in enumerate(basis.modes):
+        files.append(f"mode_{m:03d}.csv")
+        write_scalar_csv(ScalarField(basis.grid, mode), bdir / files[-1])
+    write_scalar_csv(basis.rho_s, bdir / "rho_s.csv")
+    manifest = json.loads((bdir / "manifest.json").read_text())
+    (bdir / "manifest.json").write_text(json.dumps(dict(manifest, files=files)))
+
+    assert main(["validate", "--config", cfg_path, "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["timings"]["eigen"] > 0.0
+    assert {p.name: p.read_bytes() for p in bdir.iterdir()} == fresh
 
 
 def test_validate_reuses_cached_basis_and_controls(good_run, capsys):

@@ -16,14 +16,13 @@ from fpcirc.fields import (
     integrate,
     laplacian,
     make_grid,
-    read_scalar_csv,
     trapezoid_weights,
     weighted_inner,
     weighted_norm,
     write_scalar_csv,
 )
 
-from conftest import bilinear_interpolate, divergence, perp_gradient
+from conftest import bilinear_interpolate, divergence, perp_gradient, read_scalar_csv
 
 
 def field_of(grid, fn):
@@ -154,8 +153,7 @@ def test_scalar_csv_roundtrip_exact(tmp_path):
     f = ScalarField(g, rng.standard_normal((9, 7)))
     path = tmp_path / "f.csv"
     write_scalar_csv(f, path)
-    back = read_scalar_csv(path)
-    assert back.grid == g
+    back = read_scalar_csv(path, g)
     np.testing.assert_array_equal(back.values, f.values)
 
 
@@ -179,12 +177,3 @@ def test_write_rows_matches_csv_writer_bytes(tmp_path):
             writer.writerow([FLOAT_FMT % v for v in row])
     assert path.read_bytes() == ref.read_bytes()
 
-
-def test_read_scalar_csv_checks_grid(tmp_path):
-    g = make_grid(4.0, 9, 7)
-    f = ScalarField(g, np.zeros((9, 7)))
-    path = tmp_path / "f.csv"
-    write_scalar_csv(f, path)
-    other = make_grid(4.0, 9, 9)
-    with pytest.raises(ValueError):
-        read_scalar_csv(path, other)

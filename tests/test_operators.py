@@ -18,7 +18,7 @@ from fpcirc.operators import (
 )
 from fpcirc.problem import QuadraticPotential, reference_shapes
 
-from conftest import divergence, mass_conservation_residual
+from conftest import divergence, gram_matrix, mass_conservation_residual
 
 
 def test_generator_conserves_mass(coarse_gen):
@@ -54,9 +54,7 @@ def test_selfadjointness_detects_asymmetric_perturbation(coarse_gen):
 
 def test_eigenbasis_zero_mode(coarse_basis, coarse_prob):
     assert abs(coarse_basis.eigenvalues[0]) <= 1e-8
-    np.testing.assert_array_equal(
-        coarse_basis.mode(0).values, coarse_prob.rho_s.values
-    )
+    np.testing.assert_array_equal(coarse_basis.modes[0], coarse_prob.rho_s.values)
 
 
 def test_eigenbasis_ordering_and_sign_of_spectrum(coarse_basis):
@@ -66,11 +64,8 @@ def test_eigenbasis_ordering_and_sign_of_spectrum(coarse_basis):
 
 
 def test_eigenbasis_gram_identity(coarse_basis):
-    M = coarse_basis.M
-    Vm = coarse_basis.modes_flat()
-    wv = coarse_basis.w.flat / coarse_basis.rho_s.flat
-    G = (Vm * wv) @ Vm.T
-    assert np.abs(G - np.eye(M)).max() <= 1e-8
+    G = gram_matrix(coarse_basis)
+    assert np.abs(G - np.eye(coarse_basis.M)).max() <= 1e-8
 
 
 def test_eigenvalues_converge_at_second_order():
@@ -101,8 +96,7 @@ def test_eigenbasis_rejects_oversized_mode_count():
 
 
 def test_eigenbasis_sign_convention(coarse_basis):
-    for m in range(coarse_basis.M):
-        vals = coarse_basis.mode(m).values
+    for vals in coarse_basis.modes:
         k = np.argmax(np.abs(vals))
         assert vals.flat[k] > 0.0
 
@@ -134,6 +128,15 @@ def test_basis_save_load_roundtrip(tmp_path, coarse_basis):
     np.testing.assert_array_equal(back.rho_s.values, coarse_basis.rho_s.values)
     assert back.grid == coarse_basis.grid
     assert back.residuals == coarse_basis.residuals
+
+
+def test_basis_save_is_deterministic(tmp_path, coarse_basis):
+    dirs = [tmp_path / "a", tmp_path / "b"]
+    for d in dirs:
+        coarse_basis.save(d)
+    contents = [{p.name: p.read_bytes() for p in d.iterdir()} for d in dirs]
+    assert set(contents[0]) == {"eigenvalues.csv", SpectralBasis.ARRAYS_FILE, "manifest.json"}
+    assert contents[0] == contents[1]
 
 
 def test_control_operators_conserve_mass(coarse_prob):

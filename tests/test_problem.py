@@ -16,6 +16,7 @@ from fpcirc.problem import (
     QuadraticPotential,
     build_initial_density,
     desired_vorticity,
+    horizon_steps,
     reference_problem,
     reference_shapes,
     validate_shape_bcs,
@@ -218,7 +219,7 @@ def test_config_defaults_match_reference_study():
     cfg = ExperimentConfig()
     assert (cfg.L, cfg.nx, cfg.ny, cfg.D, cfg.M) == (4.0, 101, 101, 2.0, 21)
     assert (cfg.t0, cfg.tf, cfg.dt) == (0.0, 1.0, 5e-3)
-    assert cfg.n_steps == 200
+    assert horizon_steps(cfg.t0, cfg.tf, cfg.dt) == 200
     assert cfg.n_particles == 100_000
     assert (cfg.u1_init, cfg.u2_init) == (0.0, 1.0)
 
@@ -248,6 +249,8 @@ def test_config_validates_horizon_and_substeps():
         ExperimentConfig(em_substeps=0)
     with pytest.raises(ValueError):
         ExperimentConfig(tf=0.0)
+    with pytest.raises(ValueError):
+        ExperimentConfig(tf=float("inf"))  # an infinite horizon has no step count
 
 
 def test_config_hash_sensitivity():
