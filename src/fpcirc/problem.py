@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, asdict
+import math
+import numbers
+from dataclasses import dataclass, field, fields, asdict
 from typing import NamedTuple
 
 import numpy as np
@@ -310,6 +312,16 @@ class CostWeights:
 _WEIGHT_KEYS = ("Q1", "Q2", "R1", "R2", "Qf", "Rf")
 
 
+def _as_int(name: str, value) -> int:
+    """value as an int if it is a finite integral number; else ValueError."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and math.isfinite(value) and float(value).is_integer()
+    )
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"config field {name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Complete run configuration; defaults reproduce the reference study."""
@@ -335,6 +347,11 @@ class ExperimentConfig:
     em_substeps: int = 2
 
     def __post_init__(self) -> None:
+        # int fields are stored as int, so that 41.0 and 41 hash alike and
+        # the hashes key the grid that actually runs
+        for f in fields(self):
+            if f.type in ("int", int):
+                object.__setattr__(self, f.name, _as_int(f.name, getattr(self, f.name)))
         if self.D <= 0.0:
             raise ValueError("diffusion coefficient D must be positive")
         if self.M < 1:

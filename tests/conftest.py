@@ -174,6 +174,37 @@ def bilinear_interpolate(f, x, y):
     )
 
 
+def per_term_gradient(model, traj, c0, weights):
+    """Oracle: states C and adjoint gradient (g1, g2), one term at a time.
+
+    The explicit-Euler rollout and its discrete adjoint applied as
+    lambda * c + u1 (B1 c) + u2 (B2 c), without the stacked step
+    matrices fpcirc.control builds.
+    """
+    K, dt, u1, u2 = traj.n_steps, traj.dt, traj.u1, traj.u2
+    lam, B1, B2, w = model.eigenvalues, model.B1, model.B2, weights
+    C = np.empty((K + 1, model.M))
+    C[0] = c0
+    for k in range(K):
+        ck = C[k]
+        C[k + 1] = ck + dt * (lam * ck + u1[k] * (B1 @ ck) + u2[k] * (B2 @ ck))
+    Cq = C[:-1]
+    Y2, Y3 = Cq @ model.A2.T, Cq @ model.A3.T
+    r = Cq @ model.A1.T + u1[:, None] * Y2 + u2[:, None] * Y3 - model.d
+    Z = w.Q1 * (Cq - model.c_s) + w.Q2 * (
+        r @ model.A1 + u1[:, None] * (r @ model.A2) + u2[:, None] * (r @ model.A3)
+    )
+    mu = np.empty_like(C)
+    mu[K] = w.Qf * (C[K] - model.c_s)
+    for k in range(K - 1, -1, -1):
+        m = mu[k + 1]
+        mu[k] = m + dt * (Z[k] + lam * m + u1[k] * (B1.T @ m) + u2[k] * (B2.T @ m))
+    g1 = dt * (w.R1 * u1 + w.Q2 * np.sum(Y2 * r, axis=1) + np.sum(mu[1:] * (Cq @ B1.T), axis=1))
+    g2 = dt * (w.R2 * u2 + w.Q2 * np.sum(Y3 * r, axis=1) + np.sum(mu[1:] * (Cq @ B2.T), axis=1))
+    g2[-1] += w.Rf * (u2[-1] - 1.0)
+    return C, g1, g2
+
+
 # Readers and helpers the program does not need.
 
 

@@ -85,6 +85,27 @@ def test_unknown_config_key_exits_1(tmp_path):
     assert main(["eigen", "--config", cfg]) == 1
 
 
+@pytest.mark.parametrize("nx", ["41.7", "1e400"])
+def test_non_integral_node_count_exits_1(tmp_path, capsys, nx):
+    # 1e400 parses as inf
+    text = json.dumps(GOOD_CONFIG).replace('"nx": 41', f'"nx": {nx}')
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    assert main(["eigen", "--config", str(cfg), "--dump-config"]) == 1
+    assert "config field nx must be an integer" in capsys.readouterr().err
+
+
+def test_integral_float_counts_are_stored_as_int(tmp_path, capsys):
+    floats = dict(GOOD_CONFIG, nx=41.0, M=21.0, n_particles=4e3)
+    cfg = write_config(tmp_path / "floats.json", floats)
+    assert main(["eigen", "--config", cfg, "--dump-config"]) == 0
+    # compared as text: 41.0 == 41 once parsed
+    assert capsys.readouterr().out == ExperimentConfig.from_dict(GOOD_CONFIG).to_json() + "\n"
+    assert ExperimentConfig.from_dict(floats).eigen_hash() == (
+        ExperimentConfig.from_dict(GOOD_CONFIG).eigen_hash()
+    )
+
+
 def test_nondividing_dt_exits_1(tmp_path):
     cfg = write_config(tmp_path / "bad.json", dict(GOOD_CONFIG, dt=0.3))
     assert main(["eigen", "--config", cfg]) == 1

@@ -25,6 +25,8 @@ from fpcirc.control import (
 from fpcirc.problem import CostWeights
 from fpcirc.reduction import ReducedModel
 
+from conftest import per_term_gradient, relative_error
+
 
 def make_diag_model(lam, B1=None, B2=None):
     lam = np.asarray(lam, dtype=float)
@@ -133,11 +135,32 @@ def test_stationary_state_is_fixed_under_nominal_control(
 def test_uncontrolled_rollout_matches_scalar_recursion(coarse_model, coarse_c0):
     traj = ControlTrajectory.from_constant(0.0, 0.5, 0.005, 0.0, 0.0)
     C = rollout_state(coarse_model, traj, coarse_c0)
+    # with u = 0 each step is c + (dt lambda) c, rounded in that order
     e = coarse_c0.copy()
-    lam = coarse_model.eigenvalues
+    dt_lam = traj.dt * coarse_model.eigenvalues
     for k in range(traj.n_steps):
-        e = e + traj.dt * (lam * e)
+        e = e + dt_lam * e
         assert np.array_equal(C[k + 1], e)
+
+
+def random_trajectories(n, seed):
+    """Unit-horizon controls with N(0, 0.5^2) noise around (0, 1)."""
+    rng = np.random.default_rng(seed)
+    base = ControlTrajectory.from_constant(0.0, 1.0, 0.005, 0.0, 1.0)
+    return [
+        base.with_vector(base.as_vector() + 0.5 * rng.standard_normal(2 * base.n_steps))
+        for _ in range(n)
+    ]
+
+
+def test_stacked_rollout_and_adjoint_match_per_term_recursion(coarse_model, coarse_c0):
+    weights = CostWeights()
+    for traj in random_trajectories(3, seed=17):
+        C_ref, g1_ref, g2_ref = per_term_gradient(coarse_model, traj, coarse_c0, weights)
+        C = rollout_state(coarse_model, traj, coarse_c0)
+        _, g1, g2 = objective_and_gradient(coarse_model, traj, coarse_c0, weights)
+        assert relative_error(C, C_ref) <= 1e-13
+        assert relative_error(np.concatenate([g1, g2]), np.concatenate([g1_ref, g2_ref])) <= 1e-13
 
 
 def test_rollout_blowup_raises():
@@ -178,6 +201,15 @@ def test_nominal_control_at_stationary_state_costs_only_effort(coarse_model):
     J = objective(coarse_model, traj, coarse_model.c_s, CostWeights())
     # R2 = 1 effort over a unit horizon; every other term vanishes
     assert J == pytest.approx(0.5, abs=1e-10)
+
+
+def test_objective_entry_points_agree_bit_for_bit(coarse_model, coarse_c0):
+    # the optimizer compares J from objective with J from
+    # objective_and_gradient; its monotone history needs equal bits
+    weights = CostWeights()
+    for traj in random_trajectories(4, seed=23):
+        J = objective(coarse_model, traj, coarse_c0, weights)
+        assert J == objective_and_gradient(coarse_model, traj, coarse_c0, weights)[0]
 
 
 def test_zero_weights_give_zero_objective_and_gradient(
@@ -276,6 +308,7 @@ def test_optimize_converges_on_small_problem():
     )
     assert rep.converged
     assert rep.message == "gradient tolerance reached"
+    assert rep.stop_reason == "gtol"
     assert rep.grad_inf <= 1e-9
     hist = rep.objective_history
     assert rep.objective == hist[-1]
@@ -303,6 +336,7 @@ def test_optimize_stops_at_objective_floor_before_cap():
     )
     assert not rep.converged
     assert rep.message == "objective at floating-point floor"
+    assert rep.stop_reason == "floor"
     assert rep.n_iterations < 2000
     assert len(calls) == rep.n_iterations
     hist = rep.objective_history
@@ -350,10 +384,37 @@ def test_optimize_requires_positive_effort_weights(coarse_model, coarse_c0):
         optimize(coarse_model, traj, coarse_c0, bad)
 
 
+def test_optimize_stops_on_failed_line_search(monkeypatch):
+    # after the first iteration every trial step is rejected, along the
+    # quasi-Newton direction and along the steepest-descent retry
+    from fpcirc import control
+
+    model, traj0, c0, weights = small_problem()
+    real_objective = control.objective
+    reject = {"on": False}
+
+    def objective(*args):
+        if reject["on"]:
+            raise RolloutBlowupError("rejected by the test")
+        return real_objective(*args)
+
+    def callback(it, x, J, g):
+        reject["on"] = True
+
+    monkeypatch.setattr(control, "objective", objective)
+    rep = optimize(model, traj0, c0, weights, gtol=1e-9, max_iterations=500, callback=callback)
+    assert rep.stop_reason == "line_search"
+    assert not rep.converged
+    assert rep.n_iterations == 1
+
+
 def test_optimize_report_summary_keys():
     model, traj0, c0, weights = small_problem()
-    rep = optimize(model, traj0, c0, weights, gtol=1e-6, max_iterations=200)
+    rep = optimize(model, traj0, c0, weights, gtol=0.0, max_iterations=3)
     s = rep.summary()
+    assert s["stop_reason"] == "cap"
+    assert s["n_iterations"] == 3
+    assert not s["converged"]
     assert set(s) == {
         "objective",
         "grad_inf",
@@ -362,6 +423,7 @@ def test_optimize_report_summary_keys():
         "n_iterations",
         "n_evaluations",
         "message",
+        "stop_reason",
     }
     assert s["stationarity"] == pytest.approx(s["grad_inf"] / traj0.dt)
 
