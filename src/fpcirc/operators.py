@@ -37,7 +37,7 @@ from .fields import (
     make_grid,
     trapezoid_weights,
 )
-from .problem import RHO_FLOOR, ShapeFunctions
+from .problem import RHO_FLOOR, ShapeFunctions, _grad_alpha
 
 __all__ = [
     "DiscreteGenerator",
@@ -190,9 +190,9 @@ def assemble_control_operators(
     xmid = 0.5 * (x[:-1] + x[1:])
     ymid = 0.5 * (y[:-1] + y[1:])
     Xf, Yf = np.meshgrid(xmid, y, indexing="ij")
-    vx = -shapes.grad_alpha_at(Xf, Yf)[0]
+    vx = -_grad_alpha(Xf, Yf, L)[0]
     Xf, Yf = np.meshgrid(x, ymid, indexing="ij")
-    vy = -shapes.grad_alpha_at(Xf, Yf)[1]
+    vy = -_grad_alpha(Xf, Yf, L)[1]
     k_alpha = _flux_divergence_matrix(grid, w, vx, vy, 0.0)
 
     # --- K_phi -----------------------------------------------------------

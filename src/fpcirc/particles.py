@@ -94,8 +94,9 @@ class ParticleEnsemble:
         self.positions = np.asarray(self.positions, dtype=float)
         if self.positions.ndim != 2 or self.positions.shape[1] != 2:
             raise ValueError("positions must be (N, 2)")
-        if np.max(np.abs(self.positions)) > self.L:
-            raise ValueError("positions must start inside the box")
+        # NaN propagates through max and fails <=, so this rejects it too
+        if not np.max(np.abs(self.positions)) <= self.L:
+            raise ValueError("positions must be finite and start inside the box")
         if not self.rngs:
             self.rngs = [
                 np.random.default_rng(np.random.SeedSequence((self.seed, i)))
@@ -109,6 +110,8 @@ class ParticleEnsemble:
 
 def _reflect_into_box(x: np.ndarray, L: float) -> None:
     """Mirror coordinates into [-L, L] in place (x -> 2L - x style)."""
+    if x.max() <= L and x.min() >= -L:
+        return
     for _ in range(_MAX_REFLECTIONS):
         over = x > L
         under = x < -L

@@ -115,7 +115,10 @@ class ShapeFunctions:
     alpha = cos(pi x/2L) cos(pi y/2L) and phi = rho_s * g, where the
     bubble g (see ``_bubble``) vanishes on the boundary.  The nodal
     fields are tabulated on the grid; the ``*_at`` methods evaluate the
-    closed forms at arbitrary points.  ``scaled_perp_phi`` holds
+    closed forms at points of the closed box, where the particles are.
+    ``grad_alpha_at`` takes grad(alpha) from the half-angle tangents
+    tan(pi x/4L) and tan(pi y/4L), within a few ulp of the sine-cosine
+    form the nodal table and the grid operators use.  ``scaled_perp_phi`` holds
     (1/rho_s) * perp_grad(phi), the drift actually entering the
     dynamics, in a closed form that never divides by a tiny rho_s.  At
     a point, rho_s is rho_ref * exp(-(V - v_ref)/D), anchored at the
@@ -134,7 +137,17 @@ class ShapeFunctions:
     rho_ref: float
 
     def grad_alpha_at(self, x, y):
-        return _grad_alpha(x, y, self.grid.L)
+        # half-angle form: with t = tan(kx/2) and s = tan(ky/2),
+        # sin(kx) = 2t/(1+t^2) and cos(kx) = (1-t^2)/(1+t^2); two tangents
+        # cost less than two sines and two cosines, and on the closed box
+        # the half angles stay within +-pi/4
+        k = np.pi / (2 * self.grid.L)
+        t = np.tan(0.5 * k * np.asarray(x))
+        s = np.tan(0.5 * k * np.asarray(y))
+        t2 = t * t
+        s2 = s * s
+        c = (-2.0 * k) / ((1.0 + t2) * (1.0 + s2))
+        return c * t * (1.0 - s2), c * s * (1.0 - t2)
 
     def scaled_perp_phi_at(self, x, y):
         return _scaled_perp_phi(x, y, self.grid.L, self.potential, self.D)

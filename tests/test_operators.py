@@ -16,7 +16,7 @@ from fpcirc.operators import (
     selfadjointness_report,
     stationary_density,
 )
-from fpcirc.problem import QuadraticPotential, reference_shapes
+from fpcirc.problem import QuadraticPotential, ShapeFunctions, reference_shapes
 
 from conftest import divergence, gram_matrix, mass_conservation_residual
 
@@ -154,6 +154,22 @@ def test_rotational_operator_annihilates_stationary_density(coarse_prob):
     )
     r = k_phi @ coarse_prob.rho_s.flat
     assert np.abs(r).max() <= 1e-8 * np.abs(k_phi).max()
+
+
+def test_control_operators_do_not_use_particle_evaluator(coarse_prob, monkeypatch):
+    # K_alpha takes its face velocities from the sine-cosine closed form of
+    # the nodal table; the particles' evaluator must not leak into its bits
+    args = (coarse_prob.grid, coarse_prob.shapes, coarse_prob.rho_s)
+    k_alpha, _ = assemble_control_operators(*args)
+
+    def refuse(self, x, y):
+        raise AssertionError("grid operator called the particle evaluator")
+
+    monkeypatch.setattr(ShapeFunctions, "grad_alpha_at", refuse)
+    again, _ = assemble_control_operators(*args)
+    for a, b in ((k_alpha.indptr, again.indptr), (k_alpha.indices, again.indices),
+                 (k_alpha.data, again.data)):
+        assert np.array_equal(a, b)
 
 
 def test_alpha_operator_matches_stencil_divergence(coarse_prob):

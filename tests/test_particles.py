@@ -22,7 +22,12 @@ from fpcirc.particles import (
     sample_initial,
     simulate,
 )
-from fpcirc.problem import GaussianComponent, InitialDensitySpec
+from fpcirc.problem import (
+    GaussianComponent,
+    InitialDensitySpec,
+    _grad_alpha,
+    _scaled_perp_phi,
+)
 
 L = 4.0
 
@@ -86,6 +91,9 @@ def test_ensemble_rejects_bad_positions():
         ParticleEnsemble(np.zeros((5, 3)), L, 0)
     with pytest.raises(ValueError):
         ParticleEnsemble(np.array([[5.0, 0.0]]), L, 0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            ParticleEnsemble(np.array([[0.0, 0.0], [bad, 0.0]]), L, 0)
 
 
 # ----------------------------------------------------------------------- step
@@ -99,6 +107,25 @@ def test_em_step_zero_noise_follows_drift(coarse_prob):
     assert np.array_equal(ens.positions[0], [0.0, 0.0])
     np.testing.assert_allclose(ens.positions[1], [1.0 - 0.04, 0.0], rtol=1e-15)
     assert ens.t == pytest.approx(0.01)
+
+
+def test_em_step_zero_noise_follows_controlled_drift(coarse_prob):
+    # the reference comes from the sine-cosine closed forms that fill the
+    # nodal tables, not from the particles' own evaluators
+    shapes, potential = coarse_prob.shapes, coarse_prob.potential
+    rng = np.random.default_rng(5)
+    start = rng.uniform(-3.0, 3.0, size=(200, 2))
+    x, y = start[:, 0], start[:, 1]
+    u1, u2, dt = 0.7, -1.3, 0.01
+    gvx, gvy = potential.grad(x, y)
+    gax, gay = _grad_alpha(x, y, L)
+    spx, spy = _scaled_perp_phi(x, y, L, potential, coarse_prob.config.D)
+    expected = start + dt * np.column_stack(
+        [-gvx - u1 * gax - u2 * spx, -gvy - u1 * gay - u2 * spy]
+    )
+    ens = ParticleEnsemble(start.copy(), L, 0)
+    em_step(ens, u1, u2, dt, shapes, potential, 0.0, draw_noise(ens))
+    np.testing.assert_allclose(ens.positions, expected, rtol=1e-14, atol=0.0)
 
 
 def test_em_step_reflects_back_into_box(coarse_prob):

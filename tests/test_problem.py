@@ -14,6 +14,7 @@ from fpcirc.problem import (
     GaussianComponent,
     InitialDensitySpec,
     QuadraticPotential,
+    _grad_alpha,
     build_initial_density,
     desired_vorticity,
     horizon_steps,
@@ -73,6 +74,26 @@ def test_alpha_peak_and_boundary_normal_derivative(coarse_prob):
     gx, gy = shapes.grad_alpha_at(4.0, 0.0)
     assert gx == pytest.approx(-np.pi / 8.0, abs=1e-14)
     assert gy == pytest.approx(0.0, abs=1e-14)
+
+
+def test_grad_alpha_at_matches_closed_form_on_closed_box(coarse_prob):
+    # the particles' half-angle evaluator against the sine-cosine form of
+    # the nodal table, inside the box, on its four walls and at its corners
+    shapes = coarse_prob.shapes
+    L = coarse_prob.grid.L
+    rng = np.random.default_rng(11)
+    inside = rng.uniform(-L, L, size=(2, 2000))
+    edge = rng.uniform(-L, L, 50)
+    wall = np.full(50, L)
+    walls = np.concatenate(
+        [[wall, edge], [-wall, edge], [edge, wall], [edge, -wall]], axis=1
+    )
+    corners = np.array([[L, L, -L, -L], [L, -L, L, -L]])
+    x, y = np.concatenate([inside, walls, corners], axis=1)
+    for got, want in zip(shapes.grad_alpha_at(x, y), _grad_alpha(x, y, L)):
+        assert np.abs(got - want).max() <= 1e-15
+    gx, gy = shapes.grad_alpha_at(L, 0.0)
+    assert abs(gx + np.pi / 8.0) <= 1e-15 and abs(gy) <= 1e-15
 
 
 def test_shape_bc_report_records_alpha_violation(coarse_prob):
