@@ -51,7 +51,6 @@ from .control import (
     LineSearchError,
     RolloutBlowupError,
     check_gradient,
-    multi_start,
     optimize,
     rollout_state,
     total_variation,
@@ -233,17 +232,10 @@ def cmd_optimize(study: Study, out: Path, manifest: RunManifest, args) -> int:
 
     t0 = time.perf_counter()
     try:
-        if args.multi_start > 1:
-            report, _all = multi_start(
-                model, traj0, c0, cfg.weights,
-                n_starts=args.multi_start, seed=cfg.seed,
-                gtol=args.gtol, max_iterations=args.max_iters,
-            )
-        else:
-            report = optimize(
-                model, traj0, c0, cfg.weights,
-                gtol=args.gtol, max_iterations=args.max_iters,
-            )
+        report = optimize(
+            model, traj0, c0, cfg.weights,
+            gtol=args.gtol, max_iterations=args.max_iters,
+        )
     except (LineSearchError, RolloutBlowupError) as exc:
         print(f"optimizer failed: {exc}", file=sys.stderr)
         return EXIT_OPTIMIZER
@@ -422,8 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.add_argument("--check-grad", action="store_true",
                    help="finite-difference check of the adjoint gradient")
-    p.add_argument("--multi-start", type=int, default=1, metavar="N",
-                   help="optimizer restarts from perturbed initial controls")
     p.add_argument("--gtol", type=float, default=1e-8,
                    help="gradient max-norm tolerance")
     p.add_argument("--max-iters", type=int, default=2000,

@@ -20,7 +20,10 @@ instead of 1.1e-7 (its bound is 1e-6).
 The optimizer is a limited-memory BFGS with Armijo backtracking.  The
 objective is smooth and cheap (a 200-step rollout of a 21-dimensional
 linear system), so the simple line search is enough; curvature pairs
-that fail the positivity test are dropped rather than damped.
+that fail the positivity test are dropped rather than damped.  Every
+line-search trial is one value-and-gradient evaluation, and the
+accepted trial's value and gradient become the next iterate, so no
+point is evaluated twice.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ __all__ = [
     "stationarity_residual",
     "total_variation",
     "optimize",
-    "multi_start",
 ]
 
 _BLOWUP_NORM = 1e12
@@ -186,8 +188,7 @@ def _cost_pieces(model, C, traj, weights):
     """Cost breakdown plus the intermediates the adjoint pass reuses.
 
     Both objective entry points sum the same five floats in the same
-    order, so their totals agree bit for bit (the optimizer's monotone
-    history depends on that).
+    order, so their totals agree bit for bit.
     """
     dt, u1, u2 = traj.dt, traj.u1, traj.u2
     dc = C[:-1] - model.c_s
@@ -314,8 +315,9 @@ class OptimizationReport:
 
     stop_reason is "gtol" (gradient tolerance reached, the only
     converged case), "floor" (an accepted step left J unchanged),
-    "line_search" (no acceptable step) or "cap" (iteration limit);
-    multi_start marks a restart that raised with "failed".
+    "line_search" (no acceptable step) or "cap" (iteration limit).
+    n_evaluations counts value-and-gradient evaluations, one per
+    line-search trial plus one at the initial guess.
     """
 
     trajectory: ControlTrajectory
@@ -357,23 +359,25 @@ def _two_loop(g, pairs, gamma):
     return -q
 
 
-def _backtrack(f_only, x: np.ndarray, p: np.ndarray, J: float, slope: float) -> float | None:
-    """Armijo backtracking from unit step along p: the accepted step, or None.
+def _backtrack(trial, x: np.ndarray, p: np.ndarray, J: float, slope: float):
+    """Armijo backtracking from unit step along p.
 
-    Near the floating-point floor of J exact sufficient decrease stops
-    resolving, so a step that does not increase J is still accepted
-    (the history stays nonincreasing); optimize stops once such a step
-    leaves J unchanged.
+    trial(x) gives (J, g) at x, with J = inf where the rollout blows up.
+    Returns the accepted (x, J, g), or None.  Near the floating-point
+    floor of J exact sufficient decrease stops resolving, so a step that
+    does not increase J is still accepted (the history stays
+    nonincreasing); optimize stops once such a step leaves J unchanged.
     """
     step = 1.0
     for _ in range(MAX_BACKTRACKS):
-        J_new = f_only(x + step * p)
+        x_new = x + step * p
+        J_new, g_new = trial(x_new)
         decrease = -ARMIJO_C * step * slope
         if np.isfinite(J_new) and (
             J_new <= J - decrease
             or (J_new <= J and decrease <= 4.0 * np.spacing(abs(J) + 1.0))
         ):
-            return step
+            return x_new, J_new, g_new
         step *= 0.5
     return None
 
@@ -390,14 +394,16 @@ def optimize(
 ) -> OptimizationReport:
     """Minimize the discrete objective over the control samples.
 
-    Limited-memory BFGS with Armijo backtracking from unit step.  Stops
-    when the max-norm of the gradient drops below gtol (converged), or
-    when an accepted step leaves the objective unchanged, i.e. J has
-    reached its floating-point floor (not converged; the step is kept).
-    max_iterations is a cap.  A failed line search along steepest
-    descent at the first iteration raises LineSearchError.  Requires
-    strictly positive effort weights (otherwise the problem can push
-    control energy to infinity).
+    Limited-memory BFGS with Armijo backtracking from unit step; each
+    trial point costs one value-and-gradient evaluation.  Stops when the
+    max-norm of the gradient drops below gtol (converged), or when an
+    accepted step leaves the objective unchanged, i.e. J has reached its
+    floating-point floor (not converged; the step is kept).
+    max_iterations is a cap.  A trial point whose rollout blows up is a
+    rejected step; a blow-up at traj0 raises RolloutBlowupError, and a
+    failed line search along steepest descent at the first iteration
+    raises LineSearchError.  Requires strictly positive effort weights
+    (otherwise the problem can push control energy to infinity).
     """
     if weights.R1 <= 0.0 or weights.R2 <= 0.0:
         raise ValueError("optimize requires R1 > 0 and R2 > 0")
@@ -410,13 +416,11 @@ def optimize(
         J, g1, g2 = objective_and_gradient(model, traj0.with_vector(x), c0, weights)
         return J, np.concatenate([g1, g2])
 
-    def f_only(x):
-        nonlocal n_eval
-        n_eval += 1
+    def trial(x):
         try:
-            return objective(model, traj0.with_vector(x), c0, weights)
+            return fg(x)
         except RolloutBlowupError:
-            return np.inf
+            return np.inf, None
 
     x = traj0.as_vector()
     J, g = fg(x)
@@ -440,13 +444,13 @@ def optimize(
             p = -gamma * g
             slope = float(g @ p)
 
-        step = _backtrack(f_only, x, p, J, slope)
-        if step is None and pairs:
+        accepted = _backtrack(trial, x, p, J, slope)
+        if accepted is None and pairs:
             # retry once along steepest descent before giving up
             pairs.clear()
             p = -gamma * g
-            step = _backtrack(f_only, x, p, J, float(g @ p))
-        if step is None:
+            accepted = _backtrack(trial, x, p, J, float(g @ p))
+        if accepted is None:
             if len(history) == 1:
                 # no progress from the very start: the setup is broken
                 raise LineSearchError("no decrease along steepest descent")
@@ -455,18 +459,17 @@ def optimize(
             it -= 1
             break
 
-        x_new = x + step * p
-        J_prev, g_prev = J, g
-        J, g = fg(x_new)
+        x_new, J_new, g_new = accepted
         s = x_new - x
-        y = g - g_prev
+        y = g_new - g
         sy = float(s @ y)
         if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
             pairs.append((s, y, 1.0 / sy))
             if len(pairs) > MEMORY:
                 pairs.pop(0)
             gamma = sy / float(y @ y)
-        x = x_new
+        J_prev = J
+        x, J, g = x_new, J_new, g_new
         history.append(J)
         if callback is not None:
             callback(it, x, J, g)
@@ -487,49 +490,3 @@ def optimize(
         stop_reason=stop_reason,
         objective_history=history,
     )
-
-
-def multi_start(
-    model: ReducedModel,
-    traj0: ControlTrajectory,
-    c0: np.ndarray,
-    weights: CostWeights,
-    *,
-    n_starts: int = 4,
-    scale: float = 0.5,
-    seed: int = 0,
-    **opt_kwargs,
-) -> tuple[OptimizationReport, list]:
-    """Optimize from traj0 plus perturbed restarts; best report first.
-
-    Start 0 is traj0 itself; the rest add N(0, scale^2) noise to every
-    control sample.  Restarts that blow up or stall are kept in the list
-    with their exception message but never win.
-    """
-    rng = np.random.default_rng(seed)
-    reports = []
-    best = None
-    for i in range(n_starts):
-        if i == 0:
-            tr = traj0
-        else:
-            x = traj0.as_vector() + scale * rng.standard_normal(2 * traj0.n_steps)
-            tr = traj0.with_vector(x)
-        try:
-            rep = optimize(model, tr, c0, weights, **opt_kwargs)
-        except (LineSearchError, RolloutBlowupError) as exc:
-            rep = OptimizationReport(
-                trajectory=tr,
-                objective=np.inf,
-                grad_inf=np.inf,
-                stationarity=np.inf,
-                converged=False,
-                n_iterations=0,
-                n_evaluations=0,
-                message=f"failed: {exc}",
-                stop_reason="failed",
-            )
-        reports.append(rep)
-        if best is None or rep.objective < best.objective:
-            best = rep
-    return best, reports

@@ -4,8 +4,8 @@ Particles follow dX = (-grad V - u1 grad alpha - u2 (1/rho_s) perp_grad
 phi) dt + sqrt(2D) dW with mirror reflection at the walls, i.e. the SDE
 whose law the controlled equation evolves.  The ensemble is split into
 fixed-size chunks, each with its own RNG stream seeded by (seed, chunk
-index); results are bit-identical no matter how many worker threads run
-the chunks.
+index), so the noise bits are fixed by the seed and the temporaries stay
+bounded by the chunk size.
 
 `simulate` advances one copy of an ensemble per control trajectory in
 lockstep: the copies share the initial sample and every noise increment
@@ -21,9 +21,7 @@ shows up as a negative angular-momentum statistic x*vy - y*vx.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -51,28 +49,8 @@ CHUNK_SIZE = 16384
 _MAX_REFLECTIONS = 1000
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("FPCIRC_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
 def _chunk_slices(n: int) -> list[slice]:
     return [slice(i, min(i + CHUNK_SIZE, n)) for i in range(0, n, CHUNK_SIZE)]
-
-
-def _for_each_chunk(n: int, executor: ThreadPoolExecutor | None, fn, *args) -> None:
-    """Call fn(sl, *args) for every chunk slice, on the executor if given."""
-    slices = _chunk_slices(n)
-    if executor is None:
-        for sl in slices:
-            fn(sl, *args)
-    else:
-        for f in [executor.submit(fn, sl, *args) for sl in slices]:
-            f.result()
 
 
 @dataclass
@@ -164,23 +142,15 @@ def sample_initial(
     return ParticleEnsemble(positions, L, seed, 0.0, rngs)
 
 
-def _draw_chunk(sl, rngs, out):
-    rngs[sl.start // CHUNK_SIZE].standard_normal(out=out[sl])
-
-
-def draw_noise(
-    ens: ParticleEnsemble,
-    out: np.ndarray | None = None,
-    *,
-    executor: ThreadPoolExecutor | None = None,
-) -> np.ndarray:
+def draw_noise(ens: ParticleEnsemble, out: np.ndarray | None = None) -> np.ndarray:
     """Standard normals for one substep, chunk i drawn from stream i.
 
     Fills and returns out, an (n, 2) array (allocated when None).
     """
     if out is None:
         out = np.empty_like(ens.positions)
-    _for_each_chunk(ens.n, executor, _draw_chunk, ens.rngs, out)
+    for sl, rng in zip(_chunk_slices(ens.n), ens.rngs):
+        rng.standard_normal(out=out[sl])
     return out
 
 
@@ -194,7 +164,7 @@ def _step_chunk(sl, ens, u1, u2, dt, shapes, potential, D, noise):
         bx = bx - u1 * gax
         by = by - u1 * gay
     if u2 != 0.0:
-        spx, spy = shapes.scaled_perp_phi_at(x, y)
+        spx, spy = shapes.scaled_perp_phi_at(x, y, gvx, gvy)
         bx = bx - u2 * spx
         by = by - u2 * spy
     amp = np.sqrt(2.0 * D * dt)
@@ -213,8 +183,6 @@ def em_step(
     potential,
     D: float,
     noise: np.ndarray,
-    *,
-    executor: ThreadPoolExecutor | None = None,
 ) -> ParticleEnsemble:
     """One Euler-Maruyama step with wall reflection; mutates and returns ens.
 
@@ -225,9 +193,8 @@ def em_step(
         raise ValueError("dt must be positive")
     if noise.shape != ens.positions.shape:
         raise ValueError("noise must have the shape of the positions")
-    _for_each_chunk(
-        ens.n, executor, _step_chunk, ens, u1, u2, dt, shapes, potential, D, noise
-    )
+    for sl in _chunk_slices(ens.n):
+        _step_chunk(sl, ens, u1, u2, dt, shapes, potential, D, noise)
     ens.t += dt
     return ens
 
@@ -289,35 +256,26 @@ def simulate(
         for tr in trajs
     ]
     noise = np.empty_like(ens.positions)
-    workers = _worker_count()
-    executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     row = 0
-    try:
-        for k in range(K):
-            record = k >= K - velocity_window
-            for _ in range(em_substeps):
-                draw_noise(ens, noise, executor=executor)
-                for e, tr, rec in zip(copies, trajs, records):
-                    if record:
-                        # the midpoint block holds the start positions until
-                        # the step is taken
-                        mid = rec.positions[row : row + n]
-                        vel = rec.velocities[row : row + n]
-                        np.copyto(mid, e.positions)
-                    em_step(
-                        e, tr.u1[k], tr.u2[k], rec.dt, shapes, potential, D, noise,
-                        executor=executor,
-                    )
-                    if record:
-                        np.subtract(e.positions, mid, out=vel)
-                        vel /= rec.dt
-                        mid += e.positions
-                        mid *= 0.5
+    for k in range(K):
+        record = k >= K - velocity_window
+        for _ in range(em_substeps):
+            draw_noise(ens, noise)
+            for e, tr, rec in zip(copies, trajs, records):
                 if record:
-                    row += n
-    finally:
-        if executor is not None:
-            executor.shutdown()
+                    # the midpoint block holds the start positions until
+                    # the step is taken
+                    mid = rec.positions[row : row + n]
+                    vel = rec.velocities[row : row + n]
+                    np.copyto(mid, e.positions)
+                em_step(e, tr.u1[k], tr.u2[k], rec.dt, shapes, potential, D, noise)
+                if record:
+                    np.subtract(e.positions, mid, out=vel)
+                    vel /= rec.dt
+                    mid += e.positions
+                    mid *= 0.5
+            if record:
+                row += n
     return list(zip(copies, records))
 
 
@@ -433,22 +391,24 @@ def angular_momentum(record: VelocityRecord, radius: float = 2.0) -> AngularMome
 
 
 def _cell_assignment(nodes: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Map nodal quadrature mass to coarse cells.
+    """Map nodal quadrature mass to coarse cells of uniform width.
 
     Returns S with S[i, c] = share of node i belonging to cell c; nodes
-    exactly on an interior edge split 0.5/0.5 (that is what trapezoid
-    integration over each cell separately would do).
+    on an interior edge, to within rounding on either side, split
+    0.5/0.5 (that is what trapezoid integration over each cell
+    separately would do).
     """
     n_cells = len(edges) - 1
     S = np.zeros((len(nodes), n_cells))
-    idx = _cell_index(edges, nodes)
+    rows = np.arange(len(nodes))
+    # index of each node's nearest edge
+    e = np.rint((nodes - edges[0]) / ((edges[-1] - edges[0]) / n_cells)).astype(int)
+    np.clip(e, 0, n_cells, out=e)
     tol = 1e-9 * (edges[-1] - edges[0])
-    for i, (x, c) in enumerate(zip(nodes, idx)):
-        if c > 0 and abs(x - edges[c]) <= tol:
-            S[i, c - 1] = 0.5
-            S[i, c] = 0.5
-        else:
-            S[i, c] = 1.0
+    split = (e > 0) & (e < n_cells) & (np.abs(nodes - edges[e]) <= tol)
+    S[rows[~split], _cell_index(edges, nodes[~split])] = 1.0
+    S[rows[split], e[split] - 1] = 0.5
+    S[rows[split], e[split]] = 0.5
     return S
 
 

@@ -97,14 +97,19 @@ def _bubble(x, y, L):
     return (L**2 / 4.0) * (x**2 / L**2 - 1.0) * (y**2 / L**2 - 1.0)
 
 
-def _scaled_perp_phi(x, y, L, potential, D):
-    # (1/rho_s) perp_grad(rho_s * g) = perp_grad(g) - g * perp_grad(V) / D
+def _scaled_perp_phi(x, y, L, vx, vy, D):
+    """(1/rho_s) perp_grad(rho_s * g) = perp_grad(g) - g * perp_grad(V) / D.
+
+    (vx, vy) is grad V at (x, y).  Each factor of the bubble is formed
+    once, in the same order of operations as in ``_bubble``.
+    """
     x = np.asarray(x)
     y = np.asarray(y)
-    gx = 0.5 * x * (y**2 / L**2 - 1.0)
-    gy = 0.5 * y * (x**2 / L**2 - 1.0)
-    vx, vy = potential.grad(x, y)
-    g = _bubble(x, y, L)
+    fx = x**2 / L**2 - 1.0
+    fy = y**2 / L**2 - 1.0
+    gx = 0.5 * x * fy
+    gy = 0.5 * y * fx
+    g = (L**2 / 4.0) * fx * fy
     return (gy - g * vy / D, -gx + g * vx / D)
 
 
@@ -149,8 +154,9 @@ class ShapeFunctions:
         c = (-2.0 * k) / ((1.0 + t2) * (1.0 + s2))
         return c * t * (1.0 - s2), c * s * (1.0 - t2)
 
-    def scaled_perp_phi_at(self, x, y):
-        return _scaled_perp_phi(x, y, self.grid.L, self.potential, self.D)
+    def scaled_perp_phi_at(self, x, y, vx, vy):
+        """(1/rho_s) perp_grad(phi) at points, given grad V = (vx, vy) there."""
+        return _scaled_perp_phi(x, y, self.grid.L, vx, vy, self.D)
 
     def phi_at(self, x, y):
         rho_s = self.rho_ref * np.exp(-(self.potential.value(x, y) - self.v_ref) / self.D)
@@ -174,7 +180,7 @@ def reference_shapes(
     grad_alpha = VectorField(grid, ScalarField(grid, gax), ScalarField(grid, gay))
 
     phi = ScalarField(grid, rho_s.values * _bubble(X, Y, L))
-    spx, spy = _scaled_perp_phi(X, Y, L, potential, D)
+    spx, spy = _scaled_perp_phi(X, Y, L, *potential.grad(X, Y), D)
     scaled = VectorField(grid, ScalarField(grid, spx), ScalarField(grid, spy))
     perp = VectorField(
         grid,

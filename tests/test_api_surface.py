@@ -1,5 +1,6 @@
 """Every name a module exports, and every public method and property of
-its classes, has a caller inside the package.
+its classes, has a caller inside the package; and no module reads the
+process environment.
 
 A name in some ``fpcirc.<module>.__all__``, or a public member of a
 class, that nothing in src/fpcirc uses apart from its own definition
@@ -7,6 +8,10 @@ class, that nothing in src/fpcirc uses apart from its own definition
 code goes, or moves into tests/ when it serves as an oracle.  Uses are
 names and attribute accesses found by an AST scan, matched by name
 alone; imports do not count.
+
+Run settings live in ``ExperimentConfig`` and the CLI flags only, so a
+second, unrecorded way to change a run (an environment variable) is
+caught by a scan for ``os.environ`` and ``os.getenv``.
 """
 
 import ast
@@ -95,3 +100,38 @@ def test_scan_flags_a_test_only_name(tmp_path):
     assert unused_exports(tmp_path) == {
         ("a", "lonely"), ("a", "recursive"), ("a", "Box.spare")
     }
+
+
+ENV_READERS = {"environ", "getenv"}
+
+
+def environment_reads(package: Path) -> set[tuple[str, int]]:
+    """(module, line) of every os.environ / os.getenv use or import."""
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "os"
+                and node.attr in ENV_READERS
+            ) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "os"
+                and any(a.name in ENV_READERS for a in node.names)
+            ):
+                found.add((path.stem, node.lineno))
+    return found
+
+
+def test_no_module_reads_the_environment():
+    assert environment_reads(PACKAGE) == set()
+
+
+def test_environment_scan_flags_both_forms(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import os\nn = os.environ.get('N', '1')\nm = os.getenv('M')\n"
+        "p = os.path.join('a', 'b')\n"
+    )
+    (tmp_path / "b.py").write_text("from os import environ\n")
+    assert environment_reads(tmp_path) == {("a", 2), ("a", 3), ("b", 1)}

@@ -320,15 +320,3 @@ def test_check_grad_records_result(tmp_path, capsys):
     assert "gradient check" in capsys.readouterr().out
     report = json.loads((out / "report.json").read_text())
     assert report["grad_check_max_rel_error"] < 1e-6
-
-
-def test_multi_start_optimize(tmp_path):
-    cfg = write_config(tmp_path / "cfg.json", BAD_CONFIG)
-    out = tmp_path / "run"
-    rc = main([
-        "optimize", "--config", cfg, "--out", str(out),
-        "--multi-start", "2", "--max-iters", "30",
-    ])
-    assert rc == 0
-    report = json.loads((out / "report.json").read_text())
-    assert np.isfinite(report["objective"])

@@ -13,7 +13,6 @@ from fpcirc.control import (
     LineSearchError,
     RolloutBlowupError,
     check_gradient,
-    multi_start,
     objective,
     objective_and_gradient,
     objective_terms,
@@ -345,6 +344,30 @@ def test_optimize_stops_at_objective_floor_before_cap():
     assert hist[-1] == hist[-2]
 
 
+def test_optimize_evaluates_only_value_and_gradient(monkeypatch):
+    # each line-search trial is one value-and-gradient evaluation, and
+    # n_evaluations counts every one of them
+    from fpcirc import control
+
+    model, traj0, c0, weights = small_problem()
+    real = control.objective_and_gradient
+    calls = []
+
+    def objective(*args):
+        raise AssertionError("optimize called the value-only objective")
+
+    def objective_and_gradient(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(control, "objective", objective)
+    monkeypatch.setattr(control, "objective_and_gradient", objective_and_gradient)
+    rep = optimize(model, traj0, c0, weights, gtol=1e-9, max_iterations=500)
+    assert rep.converged
+    assert rep.n_evaluations == len(calls)
+    assert rep.n_iterations < rep.n_evaluations
+
+
 def test_optimize_retries_along_steepest_descent(monkeypatch):
     # every trial step along the second iteration's quasi-Newton direction
     # is rejected; the line search must then retry along steepest descent
@@ -352,14 +375,14 @@ def test_optimize_retries_along_steepest_descent(monkeypatch):
     from fpcirc import control
 
     model, traj0, c0, weights = small_problem()
-    real_objective = control.objective
+    real = control.objective_and_gradient
     rejections = {"left": 0}
 
-    def objective(*args):
+    def objective_and_gradient(*args):
         if rejections["left"] > 0:
             rejections["left"] -= 1
             raise RolloutBlowupError("rejected by the test")
-        return real_objective(*args)
+        return real(*args)
 
     seen = {}
 
@@ -368,7 +391,7 @@ def test_optimize_retries_along_steepest_descent(monkeypatch):
         if it == 1:
             rejections["left"] = control.MAX_BACKTRACKS
 
-    monkeypatch.setattr(control, "objective", objective)
+    monkeypatch.setattr(control, "objective_and_gradient", objective_and_gradient)
     rep = optimize(model, traj0, c0, weights, gtol=1e-9, max_iterations=500, callback=callback)
     assert rejections["left"] == 0
     assert rep.converged
@@ -390,18 +413,18 @@ def test_optimize_stops_on_failed_line_search(monkeypatch):
     from fpcirc import control
 
     model, traj0, c0, weights = small_problem()
-    real_objective = control.objective
+    real = control.objective_and_gradient
     reject = {"on": False}
 
-    def objective(*args):
+    def objective_and_gradient(*args):
         if reject["on"]:
             raise RolloutBlowupError("rejected by the test")
-        return real_objective(*args)
+        return real(*args)
 
     def callback(it, x, J, g):
         reject["on"] = True
 
-    monkeypatch.setattr(control, "objective", objective)
+    monkeypatch.setattr(control, "objective_and_gradient", objective_and_gradient)
     rep = optimize(model, traj0, c0, weights, gtol=1e-9, max_iterations=500, callback=callback)
     assert rep.stop_reason == "line_search"
     assert not rep.converged
@@ -426,26 +449,3 @@ def test_optimize_report_summary_keys():
         "stop_reason",
     }
     assert s["stationarity"] == pytest.approx(s["grad_inf"] / traj0.dt)
-
-
-def test_multi_start_returns_best_of_all_reports():
-    model, traj0, c0, weights = small_problem()
-    best, reports = multi_start(
-        model, traj0, c0, weights, n_starts=3, scale=0.5, seed=1,
-        gtol=1e-8, max_iterations=300,
-    )
-    assert len(reports) == 3
-    assert best.objective == min(r.objective for r in reports)
-    assert np.isfinite(best.objective)
-
-
-def test_multi_start_survives_diverging_restart():
-    # huge perturbations push some restarts into rollout blow-up; the
-    # failed entries are recorded but never selected
-    model, traj0, c0, weights = small_problem()
-    best, reports = multi_start(
-        model, traj0, c0, weights, n_starts=2, scale=1e6, seed=0,
-        gtol=1e-8, max_iterations=50,
-    )
-    assert np.isfinite(best.objective)
-    assert len(reports) == 2

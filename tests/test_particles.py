@@ -119,7 +119,7 @@ def test_em_step_zero_noise_follows_controlled_drift(coarse_prob):
     u1, u2, dt = 0.7, -1.3, 0.01
     gvx, gvy = potential.grad(x, y)
     gax, gay = _grad_alpha(x, y, L)
-    spx, spy = _scaled_perp_phi(x, y, L, potential, coarse_prob.config.D)
+    spx, spy = _scaled_perp_phi(x, y, L, gvx, gvy, coarse_prob.config.D)
     expected = start + dt * np.column_stack(
         [-gvx - u1 * gax - u2 * spx, -gvy - u1 * gay - u2 * spy]
     )
@@ -154,24 +154,6 @@ def test_em_step_rejects_misshapen_noise(coarse_prob):
                 np.zeros((3, 2)))
 
 
-def test_thread_count_does_not_change_results(coarse_prob, monkeypatch):
-    def run():
-        ens = sample_initial(coarse_prob.initial, 40000, 11, L)  # 3 chunks
-        traj = ControlTrajectory.from_constant(0.0, 0.05, 5e-3, 0.5, 1.0)
-        [(ens, record)] = simulate(
-            ens, [traj], coarse_prob.shapes, coarse_prob.potential, 2.0,
-            velocity_window=2,
-        )
-        return ens.positions, record.velocities
-
-    monkeypatch.delenv("FPCIRC_THREADS", raising=False)
-    p1, v1 = run()
-    monkeypatch.setenv("FPCIRC_THREADS", "4")
-    p4, v4 = run()
-    assert np.array_equal(p1, p4)
-    assert np.array_equal(v1, v4)
-
-
 def _separate_run(ens, traj, shapes, potential, D, window, substeps):
     """A lone ensemble drawing its own noise: the reference for lockstep."""
     dt_s = traj.dt / substeps
@@ -188,9 +170,7 @@ def _separate_run(ens, traj, shapes, potential, D, window, substeps):
     return ens.positions, np.concatenate(mids), np.concatenate(vels)
 
 
-@pytest.mark.parametrize("threads", ["1", "4"])
-def test_lockstep_matches_separate_runs(coarse_prob, monkeypatch, threads):
-    monkeypatch.setenv("FPCIRC_THREADS", threads)
+def test_lockstep_matches_separate_runs(coarse_prob):
     shapes, potential = coarse_prob.shapes, coarse_prob.potential
     rng = np.random.default_rng(4)
     traj_a = ControlTrajectory.from_constant(0.0, 0.03, 5e-3, 0.0, 0.0)
@@ -412,6 +392,20 @@ def test_cell_assignment_splits_shared_nodes():
     np.testing.assert_allclose(S[2], [0.5, 0.5])   # node on interior edge
     np.testing.assert_allclose(S[3], [0.0, 1.0])
     np.testing.assert_allclose(S[4], [0.0, 1.0])   # right boundary node
+
+    # the reference grid's nodes against 20 cells: linspace puts some
+    # nodes a rounding below or above their edge (x = -1.6, 0.8, 2.8),
+    # and every node on one of the 19 interior edges must still split
+    nodes = np.linspace(-4.0, 4.0, 101)
+    edges = np.linspace(-4.0, 4.0, 21)
+    S = _cell_assignment(nodes, edges)
+    np.testing.assert_allclose(S.sum(axis=1), 1.0)
+    on_edge = np.arange(5, 100, 5)
+    for i, c in zip(on_edge, range(1, 20)):
+        assert S[i, c - 1] == S[i, c] == 0.5
+    inner = np.setdiff1d(np.arange(101), on_edge)
+    assert np.all(S[inner].max(axis=1) == 1.0)
+    np.testing.assert_array_equal(S[inner].argmax(axis=1), np.minimum(inner // 5, 19))
 
 
 def test_histogram_tv_against_own_density_within_budget(coarse_prob, coarse_rho0):

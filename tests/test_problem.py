@@ -138,7 +138,7 @@ def test_point_evaluators_match_nodal_tables(coarse_prob):
     x, y = rng.uniform(-g.L, g.L, size=(2, 400))
     for point, table in (
         (shapes.grad_alpha_at(x, y), shapes.grad_alpha),
-        (shapes.scaled_perp_phi_at(x, y), shapes.scaled_perp_phi),
+        (shapes.scaled_perp_phi_at(x, y, *shapes.potential.grad(x, y)), shapes.scaled_perp_phi),
     ):
         for comp, f in zip(point, (table.x, table.y)):
             err = np.abs(comp - bilinear_interpolate(f, x, y)).max()
