@@ -170,7 +170,8 @@ def _separate_run(ens, traj, shapes, potential, D, window, substeps):
     return ens.positions, np.concatenate(mids), np.concatenate(vels)
 
 
-def test_lockstep_matches_separate_runs(coarse_prob):
+@pytest.mark.parametrize("substeps", [1, 4])
+def test_lockstep_matches_separate_runs(coarse_prob, substeps):
     shapes, potential = coarse_prob.shapes, coarse_prob.potential
     rng = np.random.default_rng(4)
     traj_a = ControlTrajectory.from_constant(0.0, 0.03, 5e-3, 0.0, 0.0)
@@ -178,15 +179,16 @@ def test_lockstep_matches_separate_runs(coarse_prob):
     n = 40000  # 3 chunks
     ens = sample_initial(coarse_prob.initial, n, 13, L)
     runs = simulate(ens, [traj_a, traj_b], shapes, potential, 2.0,
-                    velocity_window=2, em_substeps=2)
+                    velocity_window=2, em_substeps=substeps)
     assert len(runs) == 2
     for (e, rec), traj in zip(runs, (traj_a, traj_b)):
         ref = sample_initial(coarse_prob.initial, n, 13, L)
-        pos, mids, vels = _separate_run(ref, traj, shapes, potential, 2.0, 2, 2)
+        pos, mids, vels = _separate_run(ref, traj, shapes, potential, 2.0, 2,
+                                        substeps)
         assert np.array_equal(e.positions, pos)
         assert np.array_equal(rec.positions, mids)
         assert np.array_equal(rec.velocities, vels)
-        assert rec.dt == traj.dt / 2
+        assert rec.dt == traj.dt / substeps
         assert e.t == pytest.approx(0.03)
     assert not np.array_equal(runs[0][0].positions, runs[1][0].positions)
 
