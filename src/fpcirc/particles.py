@@ -4,8 +4,12 @@ Particles follow dX = (-grad V - u1 grad alpha - u2 (1/rho_s) perp_grad
 phi) dt + sqrt(2D) dW with mirror reflection at the walls, i.e. the SDE
 whose law the controlled equation evolves.  The ensemble is split into
 fixed-size chunks, each with its own RNG stream seeded by (seed, chunk
-index), so the noise bits are fixed by the seed and the temporaries stay
-bounded by the chunk size.
+index), so the noise bits are fixed by the seed.  The positions are
+column-major, so a chunk's x and y are contiguous, and a step computes
+each chunk's drift in place in a workspace of nine chunk-sized rows,
+allocated per `simulate` (or lone `em_step`) call.  The noise stays
+row-major: chunk i's normals fill its rows in the order stream i draws
+them.
 
 `simulate` advances one copy of an ensemble per control trajectory in
 lockstep: the copies share the initial sample and every noise increment
@@ -55,7 +59,7 @@ def _chunk_slices(n: int) -> list[slice]:
 
 @dataclass
 class ParticleEnsemble:
-    """Positions in the box plus per-chunk RNG streams.
+    """Positions in the box, an (n, 2) column-major array, plus per-chunk RNG streams.
 
     The streams are part of the state: stepping mutates them, so two
     ensembles built with the same seed and stepped identically stay
@@ -69,7 +73,8 @@ class ParticleEnsemble:
     rngs: list = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self.positions = np.asarray(self.positions, dtype=float)
+        # column-major, so that em_step steps contiguous coordinates
+        self.positions = np.asfortranarray(self.positions, dtype=float)
         if self.positions.ndim != 2 or self.positions.shape[1] != 2:
             raise ValueError("positions must be (N, 2)")
         # NaN propagates through max and fails <=, so this rejects it too
@@ -116,7 +121,7 @@ def sample_initial(
         np.random.default_rng(np.random.SeedSequence((seed, i)))
         for i in range(len(slices))
     ]
-    positions = np.empty((n, 2))
+    positions = np.empty((n, 2), order="F")
     drawn = 0
     accepted = 0
     for sl, rng in zip(slices, rngs):
@@ -145,33 +150,58 @@ def sample_initial(
 def draw_noise(ens: ParticleEnsemble, out: np.ndarray | None = None) -> np.ndarray:
     """Standard normals for one substep, chunk i drawn from stream i.
 
-    Fills and returns out, an (n, 2) array (allocated when None).
+    Fills and returns out, a row-major (n, 2) array (allocated when
+    None), so that each particle's two normals are consecutive draws.
     """
     if out is None:
-        out = np.empty_like(ens.positions)
+        out = np.empty((ens.n, 2))
     for sl, rng in zip(_chunk_slices(ens.n), ens.rngs):
         rng.standard_normal(out=out[sl])
     return out
 
 
-def _step_chunk(sl, ens, u1, u2, dt, shapes, potential, D, noise):
+def _workspace(n: int) -> np.ndarray:
+    """Scratch for `_step_chunk`: nine rows as long as the largest chunk.
+
+    Two each for grad V, the drift and a control term, three for the
+    shape functions' intermediates.
+    """
+    return np.empty((9, min(n, CHUNK_SIZE)))
+
+
+def _step_chunk(sl, ens, u1, u2, dt, shapes, potential, D, noise, work):
+    """One step of the particles in sl, computed in place.
+
+    Every intermediate goes into the rows of work through out= ufuncs,
+    operation for operation as in x + dt * b + amp * noise with b =
+    -grad V - u1 grad(alpha) - u2 (1/rho_s) perp_grad(phi), so the bits
+    match that expression's.
+    """
     x = ens.positions[sl, 0]
     y = ens.positions[sl, 1]
-    gvx, gvy = potential.grad(x, y)
-    bx, by = -gvx, -gvy
+    vx, vy, bx, by, ax, ay, *scratch = work[:, : sl.stop - sl.start]
+    potential.grad(x, y, out=(vx, vy))
+    np.negative(vx, out=bx)
+    np.negative(vy, out=by)
     if u1 != 0.0:
-        gax, gay = shapes.grad_alpha_at(x, y)
-        bx = bx - u1 * gax
-        by = by - u1 * gay
+        shapes.grad_alpha_at(x, y, out=(ax, ay), work=scratch)
+        ax *= u1
+        bx -= ax
+        ay *= u1
+        by -= ay
     if u2 != 0.0:
-        spx, spy = shapes.scaled_perp_phi_at(x, y, gvx, gvy)
-        bx = bx - u2 * spx
-        by = by - u2 * spy
+        shapes.scaled_perp_phi_at(x, y, vx, vy, out=(ax, ay), work=scratch)
+        ax *= u2
+        bx -= ax
+        ay *= u2
+        by -= ay
     amp = np.sqrt(2.0 * D * dt)
-    ens.positions[sl, 0] = x + dt * bx + amp * noise[sl, 0]
-    ens.positions[sl, 1] = y + dt * by + amp * noise[sl, 1]
-    _reflect_into_box(ens.positions[sl, 0], ens.L)
-    _reflect_into_box(ens.positions[sl, 1], ens.L)
+    for pos, b, xi in ((x, bx, noise[sl, 0]), (y, by, noise[sl, 1])):
+        b *= dt
+        pos += b
+        np.multiply(amp, xi, out=b)
+        pos += b
+        _reflect_into_box(pos, ens.L)
 
 
 def em_step(
@@ -183,18 +213,23 @@ def em_step(
     potential,
     D: float,
     noise: np.ndarray,
+    work: np.ndarray | None = None,
 ) -> ParticleEnsemble:
     """One Euler-Maruyama step with wall reflection; mutates and returns ens.
 
     noise holds the step's standard normals, (n, 2), as `draw_noise`
-    gives them.
+    gives them.  work is the step's scratch space, as `_workspace(n)`
+    gives it; allocated when None, so a caller taking many steps passes
+    one.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if noise.shape != ens.positions.shape:
         raise ValueError("noise must have the shape of the positions")
+    if work is None:
+        work = _workspace(ens.n)
     for sl in _chunk_slices(ens.n):
-        _step_chunk(sl, ens, u1, u2, dt, shapes, potential, D, noise)
+        _step_chunk(sl, ens, u1, u2, dt, shapes, potential, D, noise, work)
     ens.t += dt
     return ens
 
@@ -249,13 +284,16 @@ def simulate(
     if em_substeps < 1:
         raise ValueError("need at least one substep")
     n = ens.n
-    copies = [ens] + [replace(ens, positions=ens.positions.copy()) for _ in trajs[1:]]
+    copies = [ens] + [
+        replace(ens, positions=ens.positions.copy(order="F")) for _ in trajs[1:]
+    ]
     n_rec = velocity_window * em_substeps * n
     records = [
         VelocityRecord(np.empty((n_rec, 2)), np.empty((n_rec, 2)), tr.dt / em_substeps)
         for tr in trajs
     ]
-    noise = np.empty_like(ens.positions)
+    noise = np.empty((n, 2))
+    work = _workspace(n)
     row = 0
     for k in range(K):
         record = k >= K - velocity_window
@@ -268,7 +306,7 @@ def simulate(
                     mid = rec.positions[row : row + n]
                     vel = rec.velocities[row : row + n]
                     np.copyto(mid, e.positions)
-                em_step(e, tr.u1[k], tr.u2[k], rec.dt, shapes, potential, D, noise)
+                em_step(e, tr.u1[k], tr.u2[k], rec.dt, shapes, potential, D, noise, work)
                 if record:
                     np.subtract(e.positions, mid, out=vel)
                     vel /= rec.dt

@@ -64,8 +64,10 @@ class QuadraticPotential:
     def value(self, x, y):
         return self.a * np.asarray(x) ** 2 + self.b * np.asarray(y) ** 2
 
-    def grad(self, x, y):
-        return 2.0 * self.a * np.asarray(x), 2.0 * self.b * np.asarray(y)
+    def grad(self, x, y, out=None):
+        """(2a x, 2b y), written into the pair out when given."""
+        gx, gy = (None, None) if out is None else out
+        return np.multiply(2.0 * self.a, x, out=gx), np.multiply(2.0 * self.b, y, out=gy)
 
     def on_grid(self, grid: Grid2D) -> ScalarField:
         X, Y = grid.meshgrid()
@@ -97,20 +99,44 @@ def _bubble(x, y, L):
     return (L**2 / 4.0) * (x**2 / L**2 - 1.0) * (y**2 / L**2 - 1.0)
 
 
-def _scaled_perp_phi(x, y, L, vx, vy, D):
+def _arrays(shape, given, count):
+    """given, or count new arrays of the shape when it is None."""
+    return [np.empty(shape) for _ in range(count)] if given is None else given
+
+
+def _scaled_perp_phi(x, y, L, vx, vy, D, out=None, work=None):
     """(1/rho_s) perp_grad(rho_s * g) = perp_grad(g) - g * perp_grad(V) / D.
 
     (vx, vy) is grad V at (x, y).  Each factor of the bubble is formed
-    once, in the same order of operations as in ``_bubble``.
+    once, with the operations of ``_bubble``: fx = x^2/L^2 - 1, fy
+    likewise, g = ((L^2/4) fx) fy, and (0.5 x) fy, (0.5 y) fx for the
+    bubble's gradient.  The result goes into the pair out and the
+    intermediates into the first two arrays of work, each allocated when
+    None.
     """
-    x = np.asarray(x)
-    y = np.asarray(y)
-    fx = x**2 / L**2 - 1.0
-    fy = y**2 / L**2 - 1.0
-    gx = 0.5 * x * fy
-    gy = 0.5 * y * fx
-    g = (L**2 / 4.0) * fx * fy
-    return (gy - g * vy / D, -gx + g * vx / D)
+    shape = np.broadcast(x, y).shape
+    px, py = _arrays(shape, out, 2)
+    g, gx = _arrays(shape, work, 2)[:2]
+    np.square(x, out=px)
+    px /= L**2
+    px -= 1.0  # fx
+    np.square(y, out=py)
+    py /= L**2
+    py -= 1.0  # fy
+    np.multiply(L**2 / 4.0, px, out=g)
+    g *= py
+    np.multiply(0.5, x, out=gx)
+    gx *= py
+    np.multiply(0.5, y, out=py)
+    py *= px  # gy
+    # gy - g vy / D, then -gx + g vx / D
+    np.multiply(g, vy, out=px)
+    px /= D
+    np.subtract(py, px, out=px)
+    np.multiply(g, vx, out=py)
+    py /= D
+    py -= gx
+    return px, py
 
 
 @dataclass
@@ -141,22 +167,46 @@ class ShapeFunctions:
     v_ref: float
     rho_ref: float
 
-    def grad_alpha_at(self, x, y):
-        # half-angle form: with t = tan(kx/2) and s = tan(ky/2),
-        # sin(kx) = 2t/(1+t^2) and cos(kx) = (1-t^2)/(1+t^2); two tangents
-        # cost less than two sines and two cosines, and on the closed box
-        # the half angles stay within +-pi/4
-        k = np.pi / (2 * self.grid.L)
-        t = np.tan(0.5 * k * np.asarray(x))
-        s = np.tan(0.5 * k * np.asarray(y))
-        t2 = t * t
-        s2 = s * s
-        c = (-2.0 * k) / ((1.0 + t2) * (1.0 + s2))
-        return c * t * (1.0 - s2), c * s * (1.0 - t2)
+    def grad_alpha_at(self, x, y, out=None, work=None):
+        """grad(alpha) at points, into the pair out; work is three scratch arrays.
 
-    def scaled_perp_phi_at(self, x, y, vx, vy):
-        """(1/rho_s) perp_grad(phi) at points, given grad V = (vx, vy) there."""
-        return _scaled_perp_phi(x, y, self.grid.L, vx, vy, self.D)
+        Both are allocated when None.  With t = tan(kx/2) and s =
+        tan(ky/2), k = pi/2L: sin(kx) = 2t/(1+t^2) and cos(kx) =
+        (1-t^2)/(1+t^2), so grad(alpha) = c (t (1-s^2), s (1-t^2)) with
+        c = -2k/((1+t^2)(1+s^2)).  Two tangents cost less than two sines
+        and two cosines, and on the closed box the half angles stay
+        within +-pi/4.
+        """
+        k = np.pi / (2 * self.grid.L)
+        shape = np.broadcast(x, y).shape
+        gx, gy = _arrays(shape, out, 2)
+        p, q, c = _arrays(shape, work, 3)
+        np.multiply(0.5 * k, x, out=gx)
+        np.tan(gx, out=gx)  # t
+        np.multiply(0.5 * k, y, out=gy)
+        np.tan(gy, out=gy)  # s
+        np.multiply(gx, gx, out=p)
+        p += 1.0
+        np.multiply(gy, gy, out=q)
+        q += 1.0
+        np.multiply(p, q, out=c)
+        np.divide(-2.0 * k, c, out=c)
+        np.multiply(gx, gx, out=p)
+        np.subtract(1.0, p, out=p)  # 1 - t^2
+        np.multiply(gy, gy, out=q)
+        np.subtract(1.0, q, out=q)  # 1 - s^2
+        gx *= c
+        gx *= q
+        gy *= c
+        gy *= p
+        return gx, gy
+
+    def scaled_perp_phi_at(self, x, y, vx, vy, out=None, work=None):
+        """(1/rho_s) perp_grad(phi) at points, given grad V = (vx, vy) there.
+
+        out and work as in ``_scaled_perp_phi``.
+        """
+        return _scaled_perp_phi(x, y, self.grid.L, vx, vy, self.D, out, work)
 
     def phi_at(self, x, y):
         rho_s = self.rho_ref * np.exp(-(self.potential.value(x, y) - self.v_ref) / self.D)

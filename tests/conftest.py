@@ -205,6 +205,42 @@ def per_term_gradient(model, traj, c0, weights):
     return C, g1, g2
 
 
+def expression_em_step(positions, u1, u2, dt, L, a, b, D, noise):
+    """Oracle: one Euler-Maruyama step of (n, 2) positions, as a new array.
+
+    The drift of V = a x^2 + b y^2 and the reference shapes written as
+    whole-array expressions, one temporary per operation, in the
+    operation order fpcirc.particles keeps in place; then mirror
+    reflection into [-L, L].
+    """
+    x, y = positions[:, 0], positions[:, 1]
+    gvx, gvy = 2.0 * a * x, 2.0 * b * y
+    bx, by = -gvx, -gvy
+    if u1 != 0.0:
+        k = np.pi / (2 * L)
+        t = np.tan(0.5 * k * x)
+        s = np.tan(0.5 * k * y)
+        t2 = t * t
+        s2 = s * s
+        c = (-2.0 * k) / ((1.0 + t2) * (1.0 + s2))
+        bx = bx - u1 * (c * t * (1.0 - s2))
+        by = by - u1 * (c * s * (1.0 - t2))
+    if u2 != 0.0:
+        fx = x**2 / L**2 - 1.0
+        fy = y**2 / L**2 - 1.0
+        g = (L**2 / 4.0) * fx * fy
+        bx = bx - u2 * (0.5 * y * fx - g * gvy / D)
+        by = by - u2 * (-(0.5 * x * fy) + g * gvx / D)
+    amp = np.sqrt(2.0 * D * dt)
+    out = np.column_stack([x + dt * bx + amp * noise[:, 0], y + dt * by + amp * noise[:, 1]])
+    while True:
+        over, under = out > L, out < -L
+        if not (over.any() or under.any()):
+            return out
+        out[over] = 2.0 * L - out[over]
+        out[under] = -2.0 * L - out[under]
+
+
 # Readers and helpers the program does not need.
 
 

@@ -6,11 +6,14 @@ unlucky seed; deterministic mechanics (reflection, chunked streams,
 substeps) are checked exactly.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fpcirc.control import ControlTrajectory
 from fpcirc.particles import (
+    CHUNK_SIZE,
     AngularMomentumStat,
     ParticleEnsemble,
     _cell_assignment,
@@ -28,6 +31,8 @@ from fpcirc.problem import (
     _grad_alpha,
     _scaled_perp_phi,
 )
+
+from conftest import expression_em_step
 
 L = 4.0
 
@@ -154,16 +159,43 @@ def test_em_step_rejects_misshapen_noise(coarse_prob):
                 np.zeros((3, 2)))
 
 
-def _separate_run(ens, traj, shapes, potential, D, window, substeps):
-    """A lone ensemble drawing its own noise: the reference for lockstep."""
+def test_em_step_matches_expression_oracle(coarse_prob):
+    # all four cases of u1 and u2 zero or not, over three chunks, the last
+    # a partial one; at D = 1.5, since dividing by 2 is exact
+    potential, D = coarse_prob.potential, 1.5
+    shapes = replace(coarse_prob.shapes, D=D)
+    n = 2 * CHUNK_SIZE + 17
+    dt = 0.01
+    rng = np.random.default_rng(8)
+    for u1, u2 in ((0.0, 0.0), (1.3, 0.0), (0.0, -0.9), (0.7, 1.1)):
+        start = rng.uniform(-L, L, size=(n, 2))
+        # every 50th particle starts 0.01 inside a wall, and its noise
+        # carries it 1.0 out, more than the drift can bring back in dt
+        near = slice(0, n, 50)
+        side = np.sign(start[near])
+        start[near] = side * (L - 0.01)
+        ens = ParticleEnsemble(start, L, 3)
+        noise = draw_noise(ens)
+        noise[near] = 5.0 * side
+        expected = expression_em_step(start, u1, u2, dt, L, potential.a, potential.b, D,
+                                      noise)
+        em_step(ens, u1, u2, dt, shapes, potential, D, noise)
+        assert np.array_equal(ens.positions, expected)
+        assert np.abs(ens.positions[near]).max() < L - 0.5  # reflected
+
+
+def _separate_run(ens, traj, window, substeps, step):
+    """A lone ensemble drawing its own noise: the reference for lockstep.
+
+    step(ens, u1, u2, dt, noise) takes one substep.
+    """
     dt_s = traj.dt / substeps
     K = traj.n_steps
     mids, vels = [], []
     for k in range(K):
         for _ in range(substeps):
             before = ens.positions.copy()
-            em_step(ens, traj.u1[k], traj.u2[k], dt_s, shapes, potential, D,
-                    draw_noise(ens))
+            step(ens, traj.u1[k], traj.u2[k], dt_s, draw_noise(ens))
             if k >= K - window:
                 mids.append(0.5 * (before + ens.positions))
                 vels.append((ens.positions - before) / dt_s)
@@ -183,14 +215,57 @@ def test_lockstep_matches_separate_runs(coarse_prob, substeps):
     assert len(runs) == 2
     for (e, rec), traj in zip(runs, (traj_a, traj_b)):
         ref = sample_initial(coarse_prob.initial, n, 13, L)
-        pos, mids, vels = _separate_run(ref, traj, shapes, potential, 2.0, 2,
-                                        substeps)
+        pos, mids, vels = _separate_run(
+            ref, traj, 2, substeps,
+            lambda e, u1, u2, dt, nz: em_step(e, u1, u2, dt, shapes, potential, 2.0, nz),
+        )
         assert np.array_equal(e.positions, pos)
         assert np.array_equal(rec.positions, mids)
         assert np.array_equal(rec.velocities, vels)
         assert rec.dt == traj.dt / substeps
         assert e.t == pytest.approx(0.03)
     assert not np.array_equal(runs[0][0].positions, runs[1][0].positions)
+
+
+@pytest.mark.parametrize("substeps", [1, 2])
+def test_simulate_matches_expression_oracle(coarse_prob, substeps):
+    potential = coarse_prob.potential
+
+    def oracle(e, u1, u2, dt, noise):
+        e.positions = expression_em_step(e.positions, u1, u2, dt, L, potential.a,
+                                         potential.b, 2.0, noise)
+
+    # one control step in each case of u1 and u2 zero or not
+    traj = ControlTrajectory(0.0, 0.02, 5e-3, [0.0, 1.3, 0.0, 0.7], [0.0, 0.0, -0.9, 1.1])
+    trajs = [traj, traj.with_vector(np.zeros(8))]
+    n = 2 * CHUNK_SIZE + 17
+    ens = sample_initial(coarse_prob.initial, n, 21, L)
+    runs = simulate(ens, trajs, coarse_prob.shapes, potential, 2.0,
+                    velocity_window=2, em_substeps=substeps)
+    for (e, rec), tr in zip(runs, trajs):
+        ref = sample_initial(coarse_prob.initial, n, 21, L)
+        pos, mids, vels = _separate_run(ref, tr, 2, substeps, oracle)
+        assert np.array_equal(e.positions, pos)
+        assert np.array_equal(rec.positions, mids)
+        assert np.array_equal(rec.velocities, vels)
+
+
+def test_positions_are_column_major_and_noise_row_major(coarse_prob):
+    assert ParticleEnsemble(np.zeros((5, 2)), L, 0).positions.flags.f_contiguous
+    n = 2 * CHUNK_SIZE + 17
+    ens = sample_initial(coarse_prob.initial, n, 6, L)
+    assert ens.positions.flags.f_contiguous
+    traj = ControlTrajectory.from_constant(0.0, 0.01, 5e-3, 0.0, 1.0)
+    runs = simulate(ens, [traj, traj, traj], coarse_prob.shapes, coarse_prob.potential,
+                    2.0)
+    assert all(e.positions.flags.f_contiguous for e, _ in runs)
+    # a particle's two normals are consecutive draws of its chunk's stream
+    noise = draw_noise(ParticleEnsemble(np.zeros((n, 2)), L, 6))
+    assert noise.flags.c_contiguous
+    for i, start in enumerate(range(0, n, CHUNK_SIZE)):
+        m = min(CHUNK_SIZE, n - start)
+        rng = np.random.default_rng(np.random.SeedSequence((6, i)))
+        assert np.array_equal(noise[start : start + m], rng.standard_normal((m, 2)))
 
 
 def test_simulate_calls_em_step_once_per_ensemble_and_substep(coarse_prob, monkeypatch):

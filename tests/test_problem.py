@@ -96,6 +96,28 @@ def test_grad_alpha_at_matches_closed_form_on_closed_box(coarse_prob):
     assert abs(gx + np.pi / 8.0) <= 1e-15 and abs(gy) <= 1e-15
 
 
+def test_point_evaluators_write_the_same_bits_into_out(coarse_prob):
+    # strided inputs, as columns of a row-major array; fresh outputs
+    # against given ones, with and without given scratch
+    shapes, potential = coarse_prob.shapes, coarse_prob.potential
+    pts = np.random.default_rng(12).uniform(-4.0, 4.0, size=(1000, 2))
+    x, y = pts[:, 0], pts[:, 1]
+    vx, vy = potential.grad(x, y)
+    calls = [
+        (potential.grad, (x, y), None),
+        (shapes.grad_alpha_at, (x, y), 3),
+        (shapes.scaled_perp_phi_at, (x, y, vx, vy), 2),
+    ]
+    for f, args, n_work in calls:
+        fresh = f(*args)
+        scratch = [{}] if n_work is None else [{}, {"work": np.full((n_work, 1000), np.nan)}]
+        for work in scratch:
+            out = (np.full(1000, np.nan), np.full(1000, np.nan))
+            given = f(*args, out=out, **work)
+            assert given[0] is out[0] and given[1] is out[1]
+            assert np.array_equal(fresh[0], out[0]) and np.array_equal(fresh[1], out[1])
+
+
 def test_shape_bc_report_records_alpha_violation(coarse_prob):
     report = validate_shape_bcs(coarse_prob.shapes)
     assert not report.alpha_ok
