@@ -259,7 +259,6 @@ def cmd_optimize(study: Study, out: Path, manifest: RunManifest, args) -> int:
     rep = dict(report.summary())
     rep["objective_history"] = report.objective_history
     rep["grad_check_max_rel_error"] = grad_check
-    rep["elapsed_seconds"] = elapsed
     rep["design_hash"] = cfg.design_hash()
     rep["total_variation"] = {
         "u1": total_variation(traj.u1),

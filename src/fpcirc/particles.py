@@ -7,9 +7,10 @@ fixed-size chunks, each with its own RNG stream seeded by (seed, chunk
 index), so the noise bits are fixed by the seed.  The positions are
 column-major, so a chunk's x and y are contiguous, and a step computes
 each chunk's drift in place in a workspace of nine chunk-sized rows,
-allocated per `simulate` (or lone `em_step`) call.  The noise stays
-row-major: chunk i's normals fill its rows in the order stream i draws
-them.
+allocated per `simulate` (or lone `em_step`) call.  The noise is
+column-major too: stream i draws chunk i's uniforms into its x column,
+then into its y column, and a Box-Muller transform turns them into
+normals in place (`draw_noise`).
 
 `simulate` advances one copy of an ensemble per control trajectory in
 lockstep: the copies share the initial sample and every noise increment
@@ -150,13 +151,46 @@ def sample_initial(
 def draw_noise(ens: ParticleEnsemble, out: np.ndarray | None = None) -> np.ndarray:
     """Standard normals for one substep, chunk i drawn from stream i.
 
-    Fills and returns out, a row-major (n, 2) array (allocated when
-    None), so that each particle's two normals are consecutive draws.
+    Fills and returns out, a float64 column-major (n, 2) array
+    (allocated when None).  Stream i draws chunk i's uniforms u into its
+    x column, then its uniforms v into its y column, and the Box-Muller
+    transform turns each pair in place into two independent normals:
+    with r = sqrt(-2 log(1 - u)) and t = tan(pi (v - 1/2)), the half
+    angle of 2 pi v - pi,
+
+        xi_x = r (1 - t^2) / (1 + t^2),    xi_y = r 2t / (1 + t^2),
+
+    evaluated as q = r / (1 + t^2), xi_x = q (1 - t^2), xi_y = 2t q in
+    one scratch row of a chunk's length.  1 - u lies in (0, 1], so the
+    log is finite; at v = 0, t is about -1.6e16 and both outputs stay
+    finite.  np.tan, log and sqrt run vectorized, unlike sin and cos.
     """
     if out is None:
-        out = np.empty((ens.n, 2))
+        out = np.empty((ens.n, 2), order="F")
+    elif out.shape != (ens.n, 2) or out.dtype != np.float64 or not out.flags.f_contiguous:
+        raise ValueError("out must be a float64, column-major (n, 2) array")
+    scratch = np.empty(min(ens.n, CHUNK_SIZE))
     for sl, rng in zip(_chunk_slices(ens.n), ens.rngs):
-        rng.standard_normal(out=out[sl])
+        r = out[sl, 0]
+        t = out[sl, 1]
+        s = scratch[: len(r)]
+        rng.random(out=r)
+        rng.random(out=t)
+        np.subtract(1.0, r, out=r)
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        t -= 0.5
+        t *= np.pi
+        np.tan(t, out=t)
+        np.multiply(t, t, out=s)
+        s += 1.0
+        r /= s
+        np.multiply(t, t, out=s)
+        np.subtract(1.0, s, out=s)
+        t *= 2.0
+        t *= r
+        r *= s
     return out
 
 
@@ -292,7 +326,7 @@ def simulate(
         VelocityRecord(np.empty((n_rec, 2)), np.empty((n_rec, 2)), tr.dt / em_substeps)
         for tr in trajs
     ]
-    noise = np.empty((n, 2))
+    noise = np.empty((n, 2), order="F")
     work = _workspace(n)
     row = 0
     for k in range(K):

@@ -7,8 +7,6 @@ here assert structure, identities and refinement behavior; the
 full-scale numbers live in test_acceptance.py.
 """
 
-import json
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -241,6 +239,19 @@ def expression_em_step(positions, u1, u2, dt, L, a, b, D, noise):
         out[under] = -2.0 * L - out[under]
 
 
+def box_muller(u, v):
+    """Oracle: the normal pair (xi_x, xi_y) of uniforms u, v, as new arrays.
+
+    The half-angle Box-Muller transform written as whole-array
+    expressions, in the operation order fpcirc.particles.draw_noise
+    keeps in place.
+    """
+    r = np.sqrt(-2.0 * np.log(1.0 - u))
+    t = np.tan(np.pi * (v - 0.5))
+    q = r / (1.0 + t * t)
+    return q * (1.0 - t * t), 2.0 * t * q
+
+
 # Readers and helpers the program does not need.
 
 
@@ -265,15 +276,10 @@ def truncate(model, M):
 def run_outputs(out):
     """Every output file of a CLI run by relative path, as bytes.
 
-    The run's manifest.json (timings) is left out, and report.json is
-    parsed with its elapsed_seconds removed.
+    The run's manifest.json (timings) is left out.
     """
-    files = {
+    return {
         str(p.relative_to(out)): p.read_bytes()
         for p in sorted(out.rglob("*"))
         if p.is_file() and p.relative_to(out).as_posix() != "manifest.json"
     }
-    report = json.loads(files["report.json"])
-    report.pop("elapsed_seconds")
-    files["report.json"] = report
-    return files

@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from fpcirc.control import ControlTrajectory
 from fpcirc.particles import (
@@ -32,7 +33,7 @@ from fpcirc.problem import (
     _scaled_perp_phi,
 )
 
-from conftest import expression_em_step
+from conftest import box_muller, expression_em_step
 
 L = 4.0
 
@@ -99,6 +100,80 @@ def test_ensemble_rejects_bad_positions():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError):
             ParticleEnsemble(np.array([[0.0, 0.0], [bad, 0.0]]), L, 0)
+
+
+# ---------------------------------------------------------------------- noise
+
+
+class _FixedUniforms:
+    """Stands in for a chunk stream: each random(out=) call fills the next value."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def random(self, out):
+        out[...] = self.values.pop(0)
+
+
+def test_draw_noise_matches_box_muller_oracle():
+    # three chunks, the last a partial one
+    n = 2 * CHUNK_SIZE + 17
+    noise = draw_noise(ParticleEnsemble(np.zeros((n, 2)), L, 11))
+    for i, start in enumerate(range(0, n, CHUNK_SIZE)):
+        m = min(CHUNK_SIZE, n - start)
+        rng = np.random.default_rng(np.random.SeedSequence((11, i)))
+        xi_x, xi_y = box_muller(rng.random(m), rng.random(m))
+        assert np.array_equal(noise[start : start + m, 0], xi_x)
+        assert np.array_equal(noise[start : start + m, 1], xi_y)
+
+
+def test_draw_noise_moments_and_ks_statistic():
+    # deterministic at the fixed seed; the bounds are 4 standard errors
+    # (mean, variance, correlation) and the KS statistic's 0.1% critical
+    # value 1.95 / sqrt(N)
+    n = 500_000
+    noise = draw_noise(ParticleEnsemble(np.zeros((n, 2)), L, 2024))
+    x, y = noise[:, 0], noise[:, 1]
+    for xi in (x, y, noise.reshape(-1)):
+        N = len(xi)
+        assert abs(np.mean(xi)) <= 4.0 / np.sqrt(N)
+        assert abs(np.var(xi) - 1.0) <= 4.0 * np.sqrt(2.0 / N)
+        assert stats.kstest(xi, "norm").statistic <= 1.95 / np.sqrt(N)
+    assert abs(np.corrcoef(x, y)[0, 1]) <= 4.0 / np.sqrt(n)
+    # x and y are independent, not merely uncorrelated: r^2 = x^2 + y^2
+    # is exponential with mean 2 and its angle is uniform
+    assert abs(np.corrcoef(x * x, y * y)[0, 1]) <= 4.0 / np.sqrt(n)
+    assert stats.kstest(x * x + y * y, "expon", args=(0.0, 2.0)).statistic <= 1.95 / np.sqrt(n)
+
+
+def test_draw_noise_is_finite_at_the_uniforms_ends():
+    # u = 0 gives r = 0; v = 0 puts the angle at -pi, where t is -1.6e16;
+    # the largest uniform below 1 gives the largest radius
+    top = 1.0 - 2.0**-53
+    for u in (0.0, 0.5, top):
+        for v in (0.0, 0.25, 0.5, top):
+            ens = ParticleEnsemble(np.zeros((3, 2)), L, 0, rngs=[_FixedUniforms(u, v)])
+            noise = draw_noise(ens)
+            assert np.isfinite(noise).all()
+            r, theta = np.sqrt(-2.0 * np.log1p(-u)), 2.0 * np.pi * v - np.pi
+            np.testing.assert_allclose(noise, [[r * np.cos(theta), r * np.sin(theta)]] * 3,
+                                       rtol=0.0, atol=1e-14)
+
+
+def test_draw_noise_rejects_bad_out():
+    n = 7
+    ens = ParticleEnsemble(np.zeros((n, 2)), L, 0)
+    for out in (
+        np.empty((n, 2)),  # row-major
+        np.empty((n, 2), dtype=np.float32, order="F"),
+        np.empty((n + 1, 2), order="F"),
+        np.empty((n, 3), order="F"),
+        np.empty((2 * n, 2), order="F")[::2],  # strided
+    ):
+        with pytest.raises(ValueError):
+            draw_noise(ens, out)
+    out = np.empty((n, 2), order="F")
+    assert draw_noise(ens, out) is out
 
 
 # ----------------------------------------------------------------------- step
@@ -250,7 +325,7 @@ def test_simulate_matches_expression_oracle(coarse_prob, substeps):
         assert np.array_equal(rec.velocities, vels)
 
 
-def test_positions_are_column_major_and_noise_row_major(coarse_prob):
+def test_positions_and_noise_are_column_major(coarse_prob):
     assert ParticleEnsemble(np.zeros((5, 2)), L, 0).positions.flags.f_contiguous
     n = 2 * CHUNK_SIZE + 17
     ens = sample_initial(coarse_prob.initial, n, 6, L)
@@ -259,13 +334,15 @@ def test_positions_are_column_major_and_noise_row_major(coarse_prob):
     runs = simulate(ens, [traj, traj, traj], coarse_prob.shapes, coarse_prob.potential,
                     2.0)
     assert all(e.positions.flags.f_contiguous for e, _ in runs)
-    # a particle's two normals are consecutive draws of its chunk's stream
-    noise = draw_noise(ParticleEnsemble(np.zeros((n, 2)), L, 6))
-    assert noise.flags.c_contiguous
+    # chunk i's stream draws its x column's uniforms, then its y column's,
+    # and nothing else
+    ens = ParticleEnsemble(np.zeros((n, 2)), L, 6)
+    assert draw_noise(ens).flags.f_contiguous
     for i, start in enumerate(range(0, n, CHUNK_SIZE)):
         m = min(CHUNK_SIZE, n - start)
         rng = np.random.default_rng(np.random.SeedSequence((6, i)))
-        assert np.array_equal(noise[start : start + m], rng.standard_normal((m, 2)))
+        rng.random(2 * m)
+        assert ens.rngs[i].bit_generator.state == rng.bit_generator.state
 
 
 def test_simulate_calls_em_step_once_per_ensemble_and_substep(coarse_prob, monkeypatch):
