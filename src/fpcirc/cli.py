@@ -1,8 +1,9 @@
 """Command-line pipeline: eigenbasis, reduction, optimization, validation.
 
-Every run first builds its study once: the problem, the eigenbasis
-(loaded from the cache keyed by the fields that determine it, or
-computed and cached), the reduced model and the initial state.  The
+Every run first builds its study once: the problem, the generator and
+its two control operators (assembled once), the eigenbasis (loaded from
+the cache keyed by the fields that determine it, or computed and
+cached), the reduced model and the initial state.  The
 subcommands then share it and compose through an output directory:
 `eigen` reports the basis, `optimize` writes the control and
 reduced-trajectory artifacts, `validate` replays the full equation and
@@ -30,7 +31,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .fields import ScalarField, _write_rows, weighted_norm, write_scalar_csv
+from .fields import ScalarField, _write_rows, write_scalar_csv
 from .problem import (
     ExperimentConfig,
     ReferenceProblem,
@@ -40,12 +41,13 @@ from .problem import (
     validate_shape_bcs,
 )
 from .operators import (
+    ControlledOperator,
     EigensolverError,
     SpectralBasis,
-    assemble_generator,
+    controlled_operator,
     eigenbasis,
 )
-from .reduction import ReducedModel, assemble_reduced_model, project, reconstruct
+from .reduction import ReducedModel, assemble_reduced_model, consistency_tracker, project
 from .control import (
     ControlTrajectory,
     LineSearchError,
@@ -55,7 +57,7 @@ from .control import (
     rollout_state,
     total_variation,
 )
-from .pde import compute_flux, controlled_operator, integrate_fpe, vorticity_error
+from .pde import compute_flux, integrate_fpe, vorticity_error
 from .particles import (
     angular_momentum,
     estimate_flux,
@@ -146,6 +148,7 @@ class Study(NamedTuple):
     """What every stage of a run shares, built once per run."""
 
     prob: ReferenceProblem
+    op: ControlledOperator
     basis: SpectralBasis
     model: ReducedModel
     omega_d: ScalarField
@@ -153,7 +156,7 @@ class Study(NamedTuple):
     c0: np.ndarray
 
 
-def _get_basis(out: Path, cfg: ExperimentConfig, prob, manifest: RunManifest):
+def _get_basis(out: Path, cfg: ExperimentConfig, op: ControlledOperator, manifest: RunManifest):
     """The run's eigenbasis: loaded from the cache, or computed and cached.
 
     A directory that is not a complete cache (an older layout, or a
@@ -165,9 +168,8 @@ def _get_basis(out: Path, cfg: ExperimentConfig, prob, manifest: RunManifest):
         manifest.data["timings"]["eigen"] = 0.0
     else:
         shutil.rmtree(bdir, ignore_errors=True)
-        gen = assemble_generator(prob.potential, cfg.D, prob.grid)
         t0 = time.perf_counter()
-        basis = eigenbasis(gen, prob.rho_s, cfg.M)
+        basis = eigenbasis(op, cfg.M)
         manifest.data["timings"]["eigen"] = time.perf_counter() - t0
         basis.save(bdir)
     manifest.data["residuals"]["eigen"] = basis.residuals
@@ -182,9 +184,10 @@ def build_study(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> Stud
     computed.
     """
     prob = reference_problem(cfg)
-    basis = _get_basis(out, cfg, prob, manifest)
+    op = controlled_operator(prob.shapes, prob.rho_s, prob.w, cfg.D)
+    basis = _get_basis(out, cfg, op, manifest)
     omega_d = desired_vorticity(prob.shapes)
-    model = assemble_reduced_model(basis, prob.shapes, prob.potential, cfg.D, omega_d)
+    model = assemble_reduced_model(basis, op, prob.shapes, omega_d)
     rho0 = build_initial_density(prob.initial, prob.grid, prob.w)
     rho_path = out / "rho_s.csv"
     write_scalar_csv(prob.rho_s, rho_path)
@@ -192,7 +195,7 @@ def build_study(cfg: ExperimentConfig, out: Path, manifest: RunManifest) -> Stud
     om_path = out / "omega_d.csv"
     write_scalar_csv(omega_d, om_path)
     manifest.add_artifact("omega_d", om_path, figure="fig2")
-    return Study(prob, basis, model, omega_d, rho0, project(rho0, basis))
+    return Study(prob, op, basis, model, omega_d, rho0, project(rho0, basis))
 
 
 def cmd_eigen(study: Study, out: Path, manifest: RunManifest, args) -> int:
@@ -296,7 +299,7 @@ def _stale_controls(out: Path, cfg: ExperimentConfig) -> str | None:
 
 
 def cmd_validate(study: Study, out: Path, manifest: RunManifest, args) -> int:
-    prob, basis, model, omega_d, rho0, c0 = study
+    prob, op, basis, model, omega_d, rho0, c0 = study
     cfg = prob.config
     controls_path = out / "controls.csv"
     if not controls_path.exists():
@@ -309,34 +312,17 @@ def cmd_validate(study: Study, out: Path, manifest: RunManifest, args) -> int:
         return EXIT_CONFIG
     traj = ControlTrajectory.read_csv(controls_path)
 
-    op = controlled_operator(prob.grid, prob.potential, cfg.D, prob.shapes, prob.rho_s)
     u_zero = ControlTrajectory.from_constant(cfg.t0, cfg.tf, cfg.dt, 0.0, 0.0)
-    init_err = weighted_norm(
-        ScalarField(prob.grid, rho0.values - prob.rho_s.values), prob.rho_s, prob.w
-    )
-
-    C = rollout_state(model, traj, c0)
-    ratios = np.empty(traj.n_steps + 1)
-
-    def track_ratio(k, t, field):
-        v = reconstruct(C[k], basis)
-        ratios[k] = (
-            weighted_norm(
-                ScalarField(prob.grid, v.values - field.values), prob.rho_s, prob.w
-            )
-            / init_err
-        )
+    ratios, track_ratio = consistency_tracker(rollout_state(model, traj, c0), basis, rho0)
 
     t0 = time.perf_counter()
     res_opt = integrate_fpe(
-        op, rho0, traj, prob.rho_s, prob.shapes, omega_d, cfg.D,
+        op, rho0, traj, prob.shapes, omega_d,
         snapshot_every=args.snapshot_every,
         snapshot_dir=(out / "snapshots") if args.snapshot_every else None,
         callback=track_ratio,
     )
-    res_unc = integrate_fpe(
-        op, rho0, u_zero, prob.rho_s, prob.shapes, omega_d, cfg.D
-    )
+    res_unc = integrate_fpe(op, rho0, u_zero, prob.shapes, omega_d)
     manifest.data["timings"]["pde"] = time.perf_counter() - t0
 
     d_opt = out / "diagnostics_optimized.csv"
@@ -349,7 +335,7 @@ def cmd_validate(study: Study, out: Path, manifest: RunManifest, args) -> int:
     t0 = time.perf_counter()
     ens = sample_initial(prob.initial, cfg.n_particles, cfg.seed, cfg.L)
     (ens_opt, rec_opt), (ens_unc, rec_unc) = simulate(
-        ens, [traj, u_zero], prob.shapes, prob.potential, cfg.D,
+        ens, [traj, u_zero], prob.shapes,
         velocity_window=cfg.velocity_window, em_substeps=cfg.em_substeps,
     )
     manifest.data["timings"]["particles"] = time.perf_counter() - t0
@@ -373,7 +359,7 @@ def cmd_validate(study: Study, out: Path, manifest: RunManifest, args) -> int:
         tv_opt, tv_unc, t0=cfg.t0, tf=cfg.tf, dt=traj.dt,
     )
     e_om01 = vorticity_error(
-        compute_flux(rho0, 0.0, 1.0, prob.shapes, prob.rho_s, cfg.D),
+        compute_flux(rho0, 0.0, 1.0, prob.shapes, prob.rho_s),
         omega_d, prob.rho_s, prob.w,
     )
     extras = {

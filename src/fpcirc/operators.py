@@ -1,4 +1,9 @@
-"""Discrete Fokker-Planck generator and its weighted eigenbasis.
+"""The discrete Fokker-Planck generator, its control operators and weighted eigenbasis.
+
+A run builds one ControlledOperator: the generator K and the two
+control operators K_alpha and K_phi, assembled once each on the run's
+grid from its rho_s and quadrature weights.  The eigenbasis, the
+reduced model and the full-grid replay all take that one object.
 
 The generator K discretizes rho -> div(rho grad V) + D Lap(rho) with
 reflecting (zero normal flux) boundaries, assembled in conservative
@@ -40,12 +45,12 @@ from .fields import (
 from .problem import RHO_FLOOR, ShapeFunctions, _grad_alpha
 
 __all__ = [
-    "DiscreteGenerator",
+    "ControlledOperator",
     "SpectralBasis",
     "EigensolverError",
-    "stationary_density",
     "assemble_generator",
     "assemble_control_operators",
+    "controlled_operator",
     "eigenbasis",
     "selfadjointness_report",
 ]
@@ -62,30 +67,20 @@ class EigensolverError(RuntimeError):
         self.residuals = residuals
 
 
-def stationary_density(potential, D: float, grid: Grid2D, w: QuadratureWeights) -> ScalarField:
-    """rho_s = exp(-V/D) / Z, normalized by trapezoid quadrature.
-
-    The exponent is shifted by min(V) before exponentiation so the
-    largest Boltzmann factor is exactly 1; this avoids spurious under-
-    and overflow for strongly confining potentials.
-    """
-    V = potential.on_grid(grid).values
-    expo = -(V - V.min()) / D
-    r = np.exp(expo)
-    Z = float(np.sum(r * w.w))
-    return ScalarField(grid, r / Z)
-
-
 @dataclass
-class DiscreteGenerator:
-    """Sparse generator K with the data needed to symmetrize it."""
+class ControlledOperator:
+    """K(u1,u2) = K + u1 K_alpha + u2 K_phi, all flux-form on one grid.
 
-    matrix: sp.csr_matrix
+    base is the generator K; rho_s and w are the stationary density and
+    quadrature weights all three were assembled from.
+    """
+
     grid: Grid2D
-    D: float
-    potential: object
-    rho_s: ScalarField
     w: QuadratureWeights
+    rho_s: ScalarField
+    base: sp.csr_matrix
+    k_alpha: sp.csr_matrix
+    k_phi: sp.csr_matrix
 
 
 def _flux_divergence_matrix(
@@ -151,21 +146,19 @@ def _flux_divergence_matrix(
     return K.tocsr()
 
 
-def assemble_generator(potential, D: float, grid: Grid2D) -> DiscreteGenerator:
-    """Assemble the conservative flux-form generator for the given potential."""
-    w = trapezoid_weights(grid)
-    rho_s = stationary_density(potential, D, grid, w)
+def assemble_generator(rho_s: ScalarField, w: QuadratureWeights, D: float) -> sp.csr_matrix:
+    """Assemble the conservative flux-form generator K on rho_s's grid."""
+    grid = rho_s.grid
     r = rho_s.values
     # face drift = -grad V at the face to O(dx^2), written through rho_s
     # differences so K rho_s = 0 and weighted self-adjointness hold exactly
     vx = (2.0 * D / grid.dx) * (r[1:, :] - r[:-1, :]) / (r[1:, :] + r[:-1, :])
     vy = (2.0 * D / grid.dy) * (r[:, 1:] - r[:, :-1]) / (r[:, 1:] + r[:, :-1])
-    K = _flux_divergence_matrix(grid, w, vx, vy, D)
-    return DiscreteGenerator(K, grid, D, potential, rho_s, w)
+    return _flux_divergence_matrix(grid, w, vx, vy, D)
 
 
 def assemble_control_operators(
-    grid: Grid2D, shapes: ShapeFunctions, rho_s: ScalarField
+    shapes: ShapeFunctions, rho_s: ScalarField, w: QuadratureWeights
 ) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """Flux-form operators for the two control drifts.
 
@@ -180,10 +173,11 @@ def assemble_control_operators(
     K_phi rho_s = 0 identically whenever phi vanishes on the boundary.
     Both operators impose zero boundary-face flux.
     """
+    grid = shapes.grid
     nx, ny = grid.nx, grid.ny
     L = grid.L
     x, y = grid.x, grid.y
-    w = trapezoid_weights(grid)
+    wx, wy = axis_weights(grid)
     r = rho_s.values
 
     # --- K_alpha ---------------------------------------------------------
@@ -206,8 +200,6 @@ def assemble_control_operators(
     Yf = np.broadcast_to(yc[None, :], (nx - 1, ny + 1))
     phi_x_edges = np.asarray(shapes.phi_at(Xf, Yf))
     dphi_x = phi_x_edges[:, 1:] - phi_x_edges[:, :-1]  # (nx-1, ny)
-    _, wy = axis_weights(grid)
-    wx, _ = axis_weights(grid)
     rbar_x = 0.5 * (r[1:, :] + r[:-1, :])
     # integrated stationary flux through the face is -dphi; velocity form
     # divides by face length and face-mean rho_s
@@ -225,10 +217,19 @@ def assemble_control_operators(
     return k_alpha, k_phi
 
 
-def selfadjointness_report(gen: DiscreteGenerator) -> float:
+def controlled_operator(
+    shapes: ShapeFunctions, rho_s: ScalarField, w: QuadratureWeights, D: float
+) -> ControlledOperator:
+    """The run's generator and control operators, each assembled once."""
+    base = assemble_generator(rho_s, w, D)
+    k_alpha, k_phi = assemble_control_operators(shapes, rho_s, w)
+    return ControlledOperator(shapes.grid, w, rho_s, base, k_alpha, k_phi)
+
+
+def selfadjointness_report(op: ControlledOperator) -> float:
     """Relative asymmetry ||W K - K^T W||_F / ||W K||_F with W = diag(w/rho_s)."""
-    Wd = sp.diags(gen.w.flat / gen.rho_s.flat)
-    A = (Wd @ gen.matrix).tocsr()
+    Wd = sp.diags(op.w.flat / op.rho_s.flat)
+    A = (Wd @ op.base).tocsr()
     diff = A - A.T
     num = float(np.sqrt(diff.power(2).sum()))
     den = float(np.sqrt(A.power(2).sum()))
@@ -321,36 +322,32 @@ def _weighted_orthonormalize(Vm: np.ndarray, wv: np.ndarray) -> np.ndarray:
 
 
 def eigenbasis(
-    gen: DiscreteGenerator,
-    rho_s: ScalarField | None,
+    op: ControlledOperator,
     M: int,
     *,
     cap: int = MODE_CAP,
     dense_threshold: int = DENSE_EIGEN_THRESHOLD,
-    sigma: float = 1.0,
-    maxiter: int | None = None,
 ) -> SpectralBasis:
-    """Compute the M leading eigenpairs of K in the weighted geometry.
+    """Compute the M leading eigenpairs of the generator op.base in the weighted geometry.
 
     With S = diag(sqrt(w/rho_s)) the matrix S K S^-1 is symmetric, so the
     problem is symmetrized, solved (dense below ``dense_threshold`` nodes,
-    otherwise shift-invert Lanczos via ARPACK with a deterministic start
-    vector), and mapped back.  Afterwards the basis is re-orthonormalized
-    in the weighted inner product, mode 0 is replaced by rho_s exactly,
-    its eigenvalue is pinned to 0, and signs are fixed so the node of
-    largest magnitude of each mode is positive.
+    otherwise shift-invert Lanczos about 1 via ARPACK with a
+    deterministic start vector), and mapped back.  Afterwards the basis
+    is re-orthonormalized in the weighted inner product, mode 0 is
+    replaced by rho_s exactly, its eigenvalue is pinned to 0, and signs
+    are fixed so the node of largest magnitude of each mode is positive.
     """
-    if rho_s is None:
-        rho_s = gen.rho_s
-    n = gen.grid.n_nodes
+    rho_s = op.rho_s
+    n = op.grid.n_nodes
     if M < 1 or M > cap:
         raise EigensolverError(f"M={M} outside [1, {cap}]")
     if M > n:
         raise EigensolverError(f"M={M} exceeds grid size {n}")
 
-    wv = gen.w.flat / rho_s.flat
+    wv = op.w.flat / rho_s.flat
     s = np.sqrt(wv)
-    H = (sp.diags(s) @ gen.matrix @ sp.diags(1.0 / s)).tocsr()
+    H = (sp.diags(s) @ op.base @ sp.diags(1.0 / s)).tocsr()
     H = (H + H.T) * 0.5  # enforce exact symmetry against roundoff
 
     if n <= dense_threshold:
@@ -360,7 +357,7 @@ def eigenbasis(
     else:
         v0 = np.full(n, 1.0 / np.sqrt(n))
         try:
-            lam, Y = spla.eigsh(H, k=M, sigma=sigma, which="LM", v0=v0, maxiter=maxiter)
+            lam, Y = spla.eigsh(H, k=M, sigma=1.0, which="LM", v0=v0)
         except spla.ArpackNoConvergence as exc:
             raise EigensolverError(
                 f"eigensolver did not converge: {exc}",
@@ -395,9 +392,9 @@ def eigenbasis(
         if Vm[m][idx] < 0:
             Vm[m] = -Vm[m]
 
-    modes = Vm.reshape(M, gen.grid.nx, gen.grid.ny)
+    modes = Vm.reshape(M, op.grid.nx, op.grid.ny)
     G = (Vm * wv) @ Vm.T
-    K = gen.matrix
+    K = op.base
     eig_res = float(
         max(
             np.max(np.abs(K @ Vm[m] - lam[m] * Vm[m])) / (1.0 + abs(lam[m]))
@@ -409,7 +406,7 @@ def eigenbasis(
         "gram_offdiag": float(np.abs(G - np.eye(M)).max()),
         "stationarity": float(np.abs(K @ rho_s.flat).max()) / kmax,
         "eigen_residual_max": eig_res,
-        "selfadjointness": selfadjointness_report(gen),
+        "selfadjointness": selfadjointness_report(op),
         "solver": "dense" if n <= dense_threshold else "shift-invert-lanczos",
     }
-    return SpectralBasis(gen.grid, lam, modes, rho_s, gen.w, residuals)
+    return SpectralBasis(op.grid, lam, modes, rho_s, op.w, residuals)

@@ -2,15 +2,16 @@
 
 Particles follow dX = (-grad V - u1 grad alpha - u2 (1/rho_s) perp_grad
 phi) dt + sqrt(2D) dW with mirror reflection at the walls, i.e. the SDE
-whose law the controlled equation evolves.  The ensemble is split into
-fixed-size chunks, each with its own RNG stream seeded by (seed, chunk
-index), so the noise bits are fixed by the seed.  The positions are
-column-major, so a chunk's x and y are contiguous, and a step computes
-each chunk's drift in place in a workspace of nine chunk-sized rows,
-allocated per `simulate` (or lone `em_step`) call.  The noise is
-column-major too: stream i draws chunk i's uniforms into its x column,
-then into its y column, and a Box-Muller transform turns them into
-normals in place (`draw_noise`).
+whose law the controlled equation evolves; V and D are the shape
+functions' own, so the particles step at the D the drift was built at.
+The ensemble is split into fixed-size chunks, each with its own RNG
+stream seeded by (seed, chunk index), so the noise bits are fixed by
+the seed.  The positions are column-major, so a chunk's x and y are
+contiguous, and a step computes each chunk's drift in place in a
+workspace of nine chunk-sized rows, allocated per `simulate` (or lone
+`em_step`) call.  The noise is column-major too: stream i draws chunk
+i's uniforms into its x column, then into its y column, and a
+Box-Muller transform turns them into normals in place (`draw_noise`).
 
 `simulate` advances one copy of an ensemble per control trajectory in
 lockstep: the copies share the initial sample and every noise increment
@@ -52,10 +53,20 @@ __all__ = [
 
 CHUNK_SIZE = 16384
 _MAX_REFLECTIONS = 1000
+# coarse cells with fewer velocity samples carry NaN velocity
+MIN_COUNT = 10
 
 
 def _chunk_slices(n: int) -> list[slice]:
     return [slice(i, min(i + CHUNK_SIZE, n)) for i in range(0, n, CHUNK_SIZE)]
+
+
+def _chunk_streams(seed: int, n: int) -> list[np.random.Generator]:
+    """One RNG stream per chunk of n particles, chunk i seeded by (seed, i)."""
+    return [
+        np.random.default_rng(np.random.SeedSequence((seed, i)))
+        for i in range(len(_chunk_slices(n)))
+    ]
 
 
 @dataclass
@@ -82,10 +93,7 @@ class ParticleEnsemble:
         if not np.max(np.abs(self.positions)) <= self.L:
             raise ValueError("positions must be finite and start inside the box")
         if not self.rngs:
-            self.rngs = [
-                np.random.default_rng(np.random.SeedSequence((self.seed, i)))
-                for i in range(len(_chunk_slices(len(self.positions))))
-            ]
+            self.rngs = _chunk_streams(self.seed, len(self.positions))
 
     @property
     def n(self) -> int:
@@ -117,15 +125,11 @@ def sample_initial(
     sigmas = np.sqrt(np.array([c.var for c in spec.components]))
     cum = np.cumsum(weights)
 
-    slices = _chunk_slices(n)
-    rngs = [
-        np.random.default_rng(np.random.SeedSequence((seed, i)))
-        for i in range(len(slices))
-    ]
+    rngs = _chunk_streams(seed, n)
     positions = np.empty((n, 2), order="F")
     drawn = 0
     accepted = 0
-    for sl, rng in zip(slices, rngs):
+    for sl, rng in zip(_chunk_slices(n), rngs):
         need = sl.stop - sl.start
         out = np.empty((need, 2))
         got = 0
@@ -203,18 +207,19 @@ def _workspace(n: int) -> np.ndarray:
     return np.empty((9, min(n, CHUNK_SIZE)))
 
 
-def _step_chunk(sl, ens, u1, u2, dt, shapes, potential, D, noise, work):
+def _step_chunk(sl, ens, u1, u2, dt, shapes, noise, work):
     """One step of the particles in sl, computed in place.
 
     Every intermediate goes into the rows of work through out= ufuncs,
     operation for operation as in x + dt * b + amp * noise with b =
-    -grad V - u1 grad(alpha) - u2 (1/rho_s) perp_grad(phi), so the bits
-    match that expression's.
+    -grad V - u1 grad(alpha) - u2 (1/rho_s) perp_grad(phi) and amp =
+    sqrt(2 D dt), V and D the shapes', so the bits match that
+    expression's.
     """
     x = ens.positions[sl, 0]
     y = ens.positions[sl, 1]
     vx, vy, bx, by, ax, ay, *scratch = work[:, : sl.stop - sl.start]
-    potential.grad(x, y, out=(vx, vy))
+    shapes.potential.grad(x, y, out=(vx, vy))
     np.negative(vx, out=bx)
     np.negative(vy, out=by)
     if u1 != 0.0:
@@ -229,7 +234,7 @@ def _step_chunk(sl, ens, u1, u2, dt, shapes, potential, D, noise, work):
         bx -= ax
         ay *= u2
         by -= ay
-    amp = np.sqrt(2.0 * D * dt)
+    amp = np.sqrt(2.0 * shapes.D * dt)
     for pos, b, xi in ((x, bx, noise[sl, 0]), (y, by, noise[sl, 1])):
         b *= dt
         pos += b
@@ -244,17 +249,15 @@ def em_step(
     u2: float,
     dt: float,
     shapes: ShapeFunctions,
-    potential,
-    D: float,
     noise: np.ndarray,
     work: np.ndarray | None = None,
 ) -> ParticleEnsemble:
     """One Euler-Maruyama step with wall reflection; mutates and returns ens.
 
-    noise holds the step's standard normals, (n, 2), as `draw_noise`
-    gives them.  work is the step's scratch space, as `_workspace(n)`
-    gives it; allocated when None, so a caller taking many steps passes
-    one.
+    The potential and D are the shapes'.  noise holds the step's
+    standard normals, (n, 2), as `draw_noise` gives them.  work is the
+    step's scratch space, as `_workspace(n)` gives it; allocated when
+    None, so a caller taking many steps passes one.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -263,7 +266,7 @@ def em_step(
     if work is None:
         work = _workspace(ens.n)
     for sl in _chunk_slices(ens.n):
-        _step_chunk(sl, ens, u1, u2, dt, shapes, potential, D, noise, work)
+        _step_chunk(sl, ens, u1, u2, dt, shapes, noise, work)
     ens.t += dt
     return ens
 
@@ -291,8 +294,6 @@ def simulate(
     ens: ParticleEnsemble,
     trajs: Sequence[ControlTrajectory],
     shapes: ShapeFunctions,
-    potential,
-    D: float,
     *,
     velocity_window: int = 1,
     em_substeps: int = 1,
@@ -340,7 +341,7 @@ def simulate(
                     mid = rec.positions[row : row + n]
                     vel = rec.velocities[row : row + n]
                     np.copyto(mid, e.positions)
-                em_step(e, tr.u1[k], tr.u2[k], rec.dt, shapes, potential, D, noise, work)
+                em_step(e, tr.u1[k], tr.u2[k], rec.dt, shapes, noise, work)
                 if record:
                     np.subtract(e.positions, mid, out=vel)
                     vel /= rec.dt
@@ -349,6 +350,14 @@ def simulate(
             if record:
                 row += n
     return list(zip(copies, records))
+
+
+def _coarse_histogram(ens: ParticleEnsemble, coarse_nx: int, coarse_ny: int):
+    """(hist, xe, ye): counts of the positions in the coarse cells and the cell edges."""
+    xe = np.linspace(-ens.L, ens.L, coarse_nx + 1)
+    ye = np.linspace(-ens.L, ens.L, coarse_ny + 1)
+    hist, _, _ = np.histogram2d(ens.positions[:, 0], ens.positions[:, 1], bins=[xe, ye])
+    return hist, xe, ye
 
 
 def _cell_index(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -362,7 +371,7 @@ def _cell_index(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
 class FluxEstimate:
     """Coarse-grid density and mean velocity; their product is the flux.
 
-    Cells with fewer than min_count velocity samples carry NaN velocity
+    Cells with fewer than MIN_COUNT velocity samples carry NaN velocity
     (masked); density is defined for every cell from the final
     positions.
     """
@@ -373,7 +382,6 @@ class FluxEstimate:
     vx: np.ndarray
     vy: np.ndarray
     count: np.ndarray
-    min_count: int
 
     def write_csv(self, path) -> None:
         """One row per cell, x outer; count is printed as an integer."""
@@ -389,18 +397,10 @@ def estimate_flux(
     record: VelocityRecord,
     coarse_nx: int = 20,
     coarse_ny: int = 20,
-    *,
-    min_count: int = 10,
 ) -> FluxEstimate:
     """Bin velocities by step-midpoint cell, density by final position."""
-    L = ens.L
-    xe = np.linspace(-L, L, coarse_nx + 1)
-    ye = np.linspace(-L, L, coarse_ny + 1)
+    hist, xe, ye = _coarse_histogram(ens, coarse_nx, coarse_ny)
     cell_area = (xe[1] - xe[0]) * (ye[1] - ye[0])
-
-    hist, _, _ = np.histogram2d(
-        ens.positions[:, 0], ens.positions[:, 1], bins=[xe, ye]
-    )
     density = hist / (ens.n * cell_area)
 
     # flat cell index ix * coarse_ny + iy, built in place to keep the
@@ -415,7 +415,7 @@ def estimate_flux(
     with np.errstate(invalid="ignore", divide="ignore"):
         vx = sx / count
         vy = sy / count
-    bad = count < min_count
+    bad = count < MIN_COUNT
     vx[bad] = np.nan
     vy[bad] = np.nan
 
@@ -428,7 +428,6 @@ def estimate_flux(
         vx.reshape(coarse_nx, coarse_ny),
         vy.reshape(coarse_nx, coarse_ny),
         count.reshape(coarse_nx, coarse_ny),
-        min_count,
     )
 
 
@@ -498,10 +497,7 @@ def histogram_tv_distance(
     Returns (tv, budget) where budget is the Monte Carlo standard-error
     sum 0.5 * sum_c sqrt(p_c (1 - p_c) / N).
     """
-    L = ens.L
-    xe = np.linspace(-L, L, coarse_nx + 1)
-    ye = np.linspace(-L, L, coarse_ny + 1)
-    hist, _, _ = np.histogram2d(ens.positions[:, 0], ens.positions[:, 1], bins=[xe, ye])
+    hist, xe, ye = _coarse_histogram(ens, coarse_nx, coarse_ny)
     p_hat = hist / ens.n
 
     grid = rho.grid

@@ -1,7 +1,9 @@
 """Full-grid integration of the controlled dynamics and its diagnostics.
 
 Backward Euler on the conservative operator K(u1, u2) = K + u1 K_alpha +
-u2 K_phi.  Controls are piecewise constant (left endpoint), matching the
+u2 K_phi, the run's one ControlledOperator (fpcirc.operators), which
+also carries the rho_s and weights the diagnostics are measured in.
+Controls are piecewise constant (left endpoint), matching the
 reduced model's explicit rollout, so the two trajectories are directly
 comparable.  Every operator in K(u) is flux-form with zero boundary-face
 flux, hence exact mass conservation up to the linear-solve residual.
@@ -31,7 +33,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fields import (
-    Grid2D,
     QuadratureWeights,
     ScalarField,
     VectorField,
@@ -45,37 +46,16 @@ from .fields import (
 )
 from .problem import RHO_FLOOR, ShapeFunctions
 from .control import ControlTrajectory
-from .operators import assemble_generator, assemble_control_operators
+from .operators import ControlledOperator
 
 __all__ = [
-    "ControlledOperator",
     "DiagnosticsSeries",
     "IntegrationResult",
     "ImplicitStepper",
-    "controlled_operator",
     "integrate_fpe",
     "compute_flux",
     "vorticity_error",
 ]
-
-
-@dataclass
-class ControlledOperator:
-    """K(u1,u2) = K + u1 K_alpha + u2 K_phi, all flux-form on one grid."""
-
-    grid: Grid2D
-    w: QuadratureWeights
-    base: sp.csr_matrix
-    k_alpha: sp.csr_matrix
-    k_phi: sp.csr_matrix
-
-
-def controlled_operator(
-    grid: Grid2D, potential, D: float, shapes: ShapeFunctions, rho_s: ScalarField
-) -> ControlledOperator:
-    gen = assemble_generator(potential, D, grid)
-    k_alpha, k_phi = assemble_control_operators(grid, shapes, rho_s)
-    return ControlledOperator(grid, gen.w, gen.matrix, k_alpha, k_phi)
 
 
 class ImplicitStepper:
@@ -162,9 +142,9 @@ def compute_flux(
     u2: float,
     shapes: ShapeFunctions,
     rho_s: ScalarField,
-    D: float,
 ) -> VectorField:
-    """Probability flux of rho under the controls (ratio form)."""
+    """Probability flux of rho under the controls (ratio form), at the shapes' D."""
+    D = shapes.D
     grid = rho.grid
     rs = rho_s.values
     h = ScalarField(grid, rho.values / np.maximum(rs, RHO_FLOOR))
@@ -213,10 +193,8 @@ def integrate_fpe(
     op: ControlledOperator,
     rho0: ScalarField,
     traj: ControlTrajectory,
-    rho_s: ScalarField,
     shapes: ShapeFunctions,
     omega_d: ScalarField,
-    D: float,
     *,
     snapshot_every: int = 0,
     snapshot_dir=None,
@@ -225,17 +203,17 @@ def integrate_fpe(
     """Step the controlled equation over the horizon and record diagnostics.
 
     e_rho[k] = ||rho_k - rho_s|| and e_omega[k] = ||omega_k - omega_d||
-    in the 1/rho_s-weighted norm; omega_k uses the controls acting on
-    step k (the final sample acts at k = K).  The stencil-evaluated
-    normal flux on the boundary is tracked relative to max|J| as a
-    consistency diagnostic (the face fluxes of the scheme itself are
-    zero there by construction).
+    in the 1/rho_s-weighted norm, with op's rho_s and weights; omega_k
+    uses the controls acting on step k (the final sample acts at k = K).
+    The stencil-evaluated normal flux on the boundary is tracked
+    relative to max|J| as a consistency diagnostic (the face fluxes of
+    the scheme itself are zero there by construction).
 
     callback(k, t, rho_field) runs at every recorded index including 0;
     snapshots go to snapshot_dir as field CSVs every snapshot_every
     steps when requested.
     """
-    grid = op.grid
+    grid, rho_s = op.grid, op.rho_s
     if rho0.grid != grid:
         raise ValueError("initial density grid does not match operator grid")
     K = traj.n_steps
@@ -255,7 +233,7 @@ def integrate_fpe(
         field = ScalarField(grid, rho.reshape(grid.nx, grid.ny))
         ku = min(k, K - 1)
         u1k, u2k = traj.u1[ku], traj.u2[ku]
-        flux = compute_flux(field, u1k, u2k, shapes, rho_s, D)
+        flux = compute_flux(field, u1k, u2k, shapes, rho_s)
         e_rho[k] = weighted_norm(
             ScalarField(grid, field.values - rho_s.values), rho_s, op.w
         )
@@ -271,8 +249,10 @@ def integrate_fpe(
         if k < K:
             rho = stepper.step(rho, traj.u1[k], traj.u2[k])
 
-    final = ScalarField(grid, rho.reshape(grid.nx, grid.ny))
+    n_factorizations, n_refine_sweeps = stepper.n_factorizations, stepper.n_refine_sweeps
+    # the last density sits beside the LU factors at the top of the heap and
+    # would pin their freed pages for the rest of the run: copy it once freed
+    del stepper
+    final = ScalarField(grid, rho.reshape(grid.nx, grid.ny).copy())
     series = DiagnosticsSeries(times, e_rho, e_omega, mass)
-    return IntegrationResult(
-        final, series, bnd_ratio, stepper.n_factorizations, stepper.n_refine_sweeps
-    )
+    return IntegrationResult(final, series, bnd_ratio, n_factorizations, n_refine_sweeps)

@@ -1,10 +1,12 @@
-"""Problem definition: potential, control shape functions, initial density, config.
+"""Problem definition: potential, stationary density, control shapes, initial density, config.
 
 The reference setup is V = 2x^2 + 3y^2 with D = 2 on [-4, 4]^2, a cosine
 bump alpha for the gradient-shaped control and a stream function phi
 (stationary density times a polynomial bubble) for the rotational
 control.  Everything is overridable through ExperimentConfig, whose
-defaults reproduce that setup.
+defaults reproduce that setup.  `reference_problem` computes the grid,
+its quadrature weights and rho_s once; the shape functions hold the
+potential and D, so every later stage takes them from there.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "QuadraticPotential",
     "ShapeFunctions",
     "ShapeBcReport",
+    "stationary_density",
     "GaussianComponent",
     "InitialDensitySpec",
     "CostWeights",
@@ -80,6 +83,20 @@ class QuadraticPotential:
 
     def descriptor(self) -> dict:
         return {"kind": "quadratic", "a": self.a, "b": self.b}
+
+
+def stationary_density(potential, D: float, grid: Grid2D, w: QuadratureWeights) -> ScalarField:
+    """rho_s = exp(-V/D) / Z, normalized by trapezoid quadrature.
+
+    The exponent is shifted by min(V) before exponentiation so the
+    largest Boltzmann factor is exactly 1; this avoids spurious under-
+    and overflow for strongly confining potentials.
+    """
+    V = potential.on_grid(grid).values
+    expo = -(V - V.min()) / D
+    r = np.exp(expo)
+    Z = float(np.sum(r * w.w))
+    return ScalarField(grid, r / Z)
 
 
 def _grad_alpha(x, y, L):
@@ -153,11 +170,11 @@ class ShapeFunctions:
     (1/rho_s) * perp_grad(phi), the drift actually entering the
     dynamics, in a closed form that never divides by a tiny rho_s.  At
     a point, rho_s is rho_ref * exp(-(V - v_ref)/D), anchored at the
-    node of largest nodal rho_s so that the two agree.
+    node of largest nodal rho_s so that the two agree.  The potential
+    and D are the problem's own; every later stage reads them here.
     """
 
     grid: Grid2D
-    alpha: ScalarField
     grad_alpha: VectorField
     phi: ScalarField
     perp_grad_phi: VectorField
@@ -223,9 +240,6 @@ def reference_shapes(
     """
     L = grid.L
     X, Y = grid.meshgrid()
-    alpha = ScalarField(
-        grid, np.cos(np.pi * X / (2 * L)) * np.cos(np.pi * Y / (2 * L))
-    )
     gax, gay = _grad_alpha(X, Y, L)
     grad_alpha = VectorField(grid, ScalarField(grid, gax), ScalarField(grid, gay))
 
@@ -241,7 +255,6 @@ def reference_shapes(
     i0, j0 = np.unravel_index(np.argmax(rho_s.values), rho_s.values.shape)
     return ShapeFunctions(
         grid=grid,
-        alpha=alpha,
         grad_alpha=grad_alpha,
         phi=phi,
         perp_grad_phi=perp,
@@ -491,7 +504,6 @@ class ExperimentConfig:
 
 
 class ReferenceProblem(NamedTuple):
-    potential: QuadraticPotential
     shapes: ShapeFunctions
     initial: InitialDensitySpec
     config: ExperimentConfig
@@ -510,8 +522,6 @@ def reference_problem(config: ExperimentConfig | None = None) -> ReferenceProble
     grid = make_grid(cfg.L, cfg.nx, cfg.ny)
     w = trapezoid_weights(grid)
     potential = QuadraticPotential(2.0, 3.0)
-    from .operators import stationary_density  # deferred: operators imports problem
-
     rho_s = stationary_density(potential, cfg.D, grid, w)
     shapes = reference_shapes(grid, potential, cfg.D, rho_s)
     initial = InitialDensitySpec(
@@ -520,4 +530,4 @@ def reference_problem(config: ExperimentConfig | None = None) -> ReferenceProble
             GaussianComponent(0.5, (-1.0, 0.0), (0.5, 0.5)),
         )
     )
-    return ReferenceProblem(potential, shapes, initial, cfg, grid, w, rho_s)
+    return ReferenceProblem(shapes, initial, cfg, grid, w, rho_s)

@@ -29,14 +29,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import ScalarField, _diff1
-from .operators import SpectralBasis, assemble_control_operators
+from .fields import ScalarField, _diff1, weighted_norm
+from .operators import ControlledOperator, SpectralBasis
 from .problem import RHO_FLOOR, ShapeFunctions
 
 __all__ = [
     "ReducedModel",
     "project",
     "reconstruct",
+    "consistency_tracker",
     "assemble_reduced_model",
     "reduced_rhs",
 ]
@@ -56,6 +57,25 @@ def reconstruct(c: np.ndarray, basis: SpectralBasis) -> ScalarField:
     if c.shape != (basis.M,):
         raise ValueError(f"expected {basis.M} coefficients, got shape {c.shape}")
     return ScalarField(basis.grid, np.tensordot(c, basis.modes, axes=1))
+
+
+def consistency_tracker(C: np.ndarray, basis: SpectralBasis, rho0: ScalarField):
+    """The reduced/full consistency ratios and a callback that fills them.
+
+    ratios[k] = ||reconstruct(C[k]) - rho_k|| / ||rho0 - rho_s||, both
+    in the 1/rho_s-weighted norm, where C holds the reduced states and
+    rho_k is the full-grid density the callback(k, t, rho_k) of
+    pde.integrate_fpe receives.  Returns (ratios, callback).
+    """
+    grid, rho_s, w = basis.grid, basis.rho_s, basis.w
+    init_err = weighted_norm(ScalarField(grid, rho0.values - rho_s.values), rho_s, w)
+    ratios = np.empty(len(C))
+
+    def track(k, t, field):
+        v = reconstruct(C[k], basis)
+        ratios[k] = weighted_norm(ScalarField(grid, v.values - field.values), rho_s, w) / init_err
+
+    return ratios, track
 
 
 @dataclass
@@ -104,31 +124,34 @@ class ReducedModel:
 
 def assemble_reduced_model(
     basis: SpectralBasis,
+    op: ControlledOperator,
     shapes: ShapeFunctions,
-    potential,
-    D: float,
     omega_d: ScalarField,
 ) -> ReducedModel:
-    """Project the control operators and vorticity maps onto the basis.
+    """Project op's control operators and the vorticity maps onto the basis.
 
-    omega_d must be the stencil Laplacian of the nodal phi (see
-    problem.desired_vorticity); it enters A3 directly so the identity
-    A3 e0 = d holds without discretization slack.
+    The potential and D are the shapes'.  omega_d must be the stencil
+    Laplacian of the nodal phi (see problem.desired_vorticity); it
+    enters A3 directly so the identity A3 e0 = d holds without
+    discretization slack.
     """
     grid = basis.grid
-    if shapes.grid != grid or omega_d.grid != grid:
-        raise ValueError("basis, shapes and omega_d must share one grid")
+    if op.grid != grid or shapes.grid != grid or omega_d.grid != grid:
+        raise ValueError("basis, operator, shapes and omega_d must share one grid")
+    potential, D = shapes.potential, shapes.D
     M = basis.M
     Vm = basis.modes_flat()  # (M, n)
     wflat = basis.w.flat
     rs = basis.rho_s.flat
     wv = wflat / rs
 
-    k_alpha, k_phi = assemble_control_operators(grid, shapes, basis.rho_s)
+    # (M, n) operands are released once used: the allocator keeps this
+    # transient's freed pages resident under the full-grid solve that follows
     # B[m, k] = <K v_k, v_m>_w : conservative divergence keeps row 0 at zero
     VW = Vm * wv
-    B1 = VW @ (k_alpha @ Vm.T)
-    B2 = VW @ (k_phi @ Vm.T)
+    B1 = VW @ (op.k_alpha @ Vm.T)
+    B2 = VW @ (op.k_phi @ Vm.T)
+    del VW
 
     # ratio fields h_m = v_m / rho_s and their perp gradients (stencil)
     H = Vm / np.maximum(rs, RHO_FLOOR)
@@ -151,13 +174,16 @@ def assemble_reduced_model(
     # A1[j, m] = sum (perp_grad h_m . grad V) v_j w
     Q1 = phx * Vx + phy * Vy
     A1 = VmW @ Q1.T
+    del Q1
     # A2 keeps the (perp_grad rho_s . grad alpha) part via the analytic
     # identity perp_grad rho_s = -(rho_s/D) perp_grad V
     Q2 = (phx * gax + phy * gay) - (Vy * gax - Vx * gay) / D * H
     A2 = VmW @ Q2.T
+    del Q2, VmW
     # A3[j, m] = sum ((perp_grad h_m . perp_grad phi) + h_m lap phi) h_j w
     Q3 = (phx * ppx + phy * ppy) + H * lap_phi
     A3 = HW @ Q3.T
+    del Q3
 
     d = HW @ lap_phi
     c_s = project(basis.rho_s, basis)

@@ -14,8 +14,8 @@ import scipy.sparse.linalg as spla
 
 from fpcirc.control import ControlTrajectory
 from fpcirc.fields import ScalarField, VectorField, _diff1
-from fpcirc.operators import assemble_generator, eigenbasis
-from fpcirc.pde import ImplicitStepper, controlled_operator
+from fpcirc.operators import controlled_operator, eigenbasis
+from fpcirc.pde import ImplicitStepper
 from fpcirc.problem import (
     ExperimentConfig,
     build_initial_density,
@@ -35,37 +35,25 @@ def coarse_prob(coarse_cfg):
     return reference_problem(coarse_cfg)
 
 
-@pytest.fixture(scope="session")
-def coarse_gen(coarse_prob):
-    return assemble_generator(
-        coarse_prob.potential, coarse_prob.config.D, coarse_prob.grid
-    )
-
-
-@pytest.fixture(scope="session")
-def coarse_basis(coarse_gen, coarse_prob):
-    return eigenbasis(coarse_gen, coarse_prob.rho_s, coarse_prob.config.M)
-
-
-@pytest.fixture(scope="session")
-def coarse_model(coarse_basis, coarse_prob):
-    return assemble_reduced_model(
-        coarse_basis,
-        coarse_prob.shapes,
-        coarse_prob.potential,
-        coarse_prob.config.D,
-        desired_vorticity(coarse_prob.shapes),
-    )
+def operator_of(prob):
+    """The problem's generator and control operators, as a run builds them."""
+    return controlled_operator(prob.shapes, prob.rho_s, prob.w, prob.config.D)
 
 
 @pytest.fixture(scope="session")
 def coarse_op(coarse_prob):
-    return controlled_operator(
-        coarse_prob.grid,
-        coarse_prob.potential,
-        coarse_prob.config.D,
-        coarse_prob.shapes,
-        coarse_prob.rho_s,
+    return operator_of(coarse_prob)
+
+
+@pytest.fixture(scope="session")
+def coarse_basis(coarse_op, coarse_prob):
+    return eigenbasis(coarse_op, coarse_prob.config.M)
+
+
+@pytest.fixture(scope="session")
+def coarse_model(coarse_basis, coarse_op, coarse_prob):
+    return assemble_reduced_model(
+        coarse_basis, coarse_op, coarse_prob.shapes, desired_vorticity(coarse_prob.shapes)
     )
 
 

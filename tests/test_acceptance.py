@@ -24,23 +24,29 @@ from fpcirc.control import (
     rollout_state,
 )
 from fpcirc.fields import ScalarField, weighted_norm
-from fpcirc.operators import assemble_generator, eigenbasis
+from fpcirc.operators import eigenbasis
 from fpcirc.particles import (
     angular_momentum,
     histogram_tv_distance,
     sample_initial,
     simulate,
 )
-from fpcirc.pde import compute_flux, controlled_operator, integrate_fpe, vorticity_error
+from fpcirc.pde import compute_flux, integrate_fpe, vorticity_error
 from fpcirc.problem import (
     ExperimentConfig,
     build_initial_density,
     desired_vorticity,
     reference_problem,
 )
-from fpcirc.reduction import assemble_reduced_model, project, reconstruct, reduced_rhs
+from fpcirc.reduction import (
+    assemble_reduced_model,
+    consistency_tracker,
+    project,
+    reconstruct,
+    reduced_rhs,
+)
 
-from conftest import gram_matrix, run_outputs, truncate
+from conftest import gram_matrix, operator_of, run_outputs, truncate
 
 
 @pytest.fixture(scope="session")
@@ -49,20 +55,21 @@ def study():
 
 
 @pytest.fixture(scope="session")
-def study_basis(study):
+def study_op(study):
+    return operator_of(study)
+
+
+@pytest.fixture(scope="session")
+def study_basis(study, study_op):
     t0 = time.perf_counter()
-    gen = assemble_generator(study.potential, study.config.D, study.grid)
-    basis = eigenbasis(gen, study.rho_s, study.config.M)
+    basis = eigenbasis(study_op, study.config.M)
     return basis, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")
-def study_model(study, study_basis):
+def study_model(study, study_op, study_basis):
     basis, _ = study_basis
-    return assemble_reduced_model(
-        basis, study.shapes, study.potential, study.config.D,
-        desired_vorticity(study.shapes),
-    )
+    return assemble_reduced_model(basis, study_op, study.shapes, desired_vorticity(study.shapes))
 
 
 @pytest.fixture(scope="session")
@@ -94,34 +101,18 @@ def study_opt(study, study_model, study_c0, initial_traj):
 
 
 @pytest.fixture(scope="session")
-def study_pde(study, study_basis, study_model, study_c0, study_rho0, study_opt):
+def study_pde(study, study_op, study_basis, study_model, study_c0, study_rho0, study_opt):
     basis, _ = study_basis
     cfg = study.config
-    report, _ = study_opt
-    traj = report.trajectory
-    op = controlled_operator(study.grid, study.potential, cfg.D, study.shapes, study.rho_s)
+    traj = study_opt[0].trajectory
     omega_d = desired_vorticity(study.shapes)
-    init_err = weighted_norm(
-        ScalarField(study.grid, study_rho0.values - study.rho_s.values),
-        study.rho_s, study.w,
+    ratios, track = consistency_tracker(
+        rollout_state(study_model, traj, study_c0), basis, study_rho0
     )
-    C = rollout_state(study_model, traj, study_c0)
-    ratios = np.empty(traj.n_steps + 1)
-
-    def track(k, t, field):
-        recon = reconstruct(C[k], basis)
-        dev = ScalarField(study.grid, recon.values - field.values)
-        ratios[k] = weighted_norm(dev, study.rho_s, study.w) / init_err
-
-    res_opt = integrate_fpe(
-        op, study_rho0, traj, study.rho_s, study.shapes, omega_d, cfg.D,
-        callback=track,
-    )
+    res_opt = integrate_fpe(study_op, study_rho0, traj, study.shapes, omega_d, callback=track)
     u_zero = ControlTrajectory.from_constant(cfg.t0, cfg.tf, cfg.dt, 0.0, 0.0)
-    res_unc = integrate_fpe(
-        op, study_rho0, u_zero, study.rho_s, study.shapes, omega_d, cfg.D
-    )
-    return {"opt": res_opt, "unc": res_unc, "ratios": ratios, "init_err": init_err}
+    res_unc = integrate_fpe(study_op, study_rho0, u_zero, study.shapes, omega_d)
+    return {"opt": res_opt, "unc": res_unc, "ratios": ratios}
 
 
 @pytest.fixture(scope="session")
@@ -132,7 +123,7 @@ def study_particles(study, study_opt):
     t0 = time.perf_counter()
     ens = sample_initial(study.initial, cfg.n_particles, cfg.seed, cfg.L)
     opt, unc = simulate(
-        ens, [traj, u_zero], study.shapes, study.potential, cfg.D,
+        ens, [traj, u_zero], study.shapes,
         velocity_window=cfg.velocity_window, em_substeps=cfg.em_substeps,
     )
     runs = {"opt": opt, "unc": unc, "elapsed": time.perf_counter() - t0}
@@ -270,10 +261,13 @@ def test_criterion_6_reduced_tracks_full_solution(
 
     # the t = 0 ratio is pure truncation error, reproducible independently
     proj = reconstruct(project(study_rho0, basis), basis)
+    init_err = weighted_norm(
+        ScalarField(study.grid, study_rho0.values - study.rho_s.values), study.rho_s, study.w
+    )
     trunc = weighted_norm(
         ScalarField(study.grid, proj.values - study_rho0.values),
         study.rho_s, study.w,
-    ) / study_pde["init_err"]
+    ) / init_err
     assert ratios[0] == pytest.approx(trunc, rel=1e-12)
     assert trunc == pytest.approx(0.2365, abs=2e-3)
 
@@ -355,7 +349,7 @@ def test_particle_histograms_match_pde_density(study, study_pde, study_particles
 
 def test_vorticity_settles_to_target(study, study_pde, study_rho0):
     e_initial = vorticity_error(
-        compute_flux(study_rho0, 0.0, 1.0, study.shapes, study.rho_s, study.config.D),
+        compute_flux(study_rho0, 0.0, 1.0, study.shapes, study.rho_s),
         desired_vorticity(study.shapes), study.rho_s, study.w,
     )
     ratio = gates.settling_ratio(study_pde["opt"].series.e_omega[-1], e_initial)

@@ -12,6 +12,10 @@ alone; imports do not count.
 Run settings live in ``ExperimentConfig`` and the CLI flags only, so a
 second, unrecorded way to change a run (an environment variable) is
 caught by a scan for ``os.environ`` and ``os.getenv``.
+
+Every import sits at module level, so an import cycle fails when the
+package is imported instead of hiding behind a deferred import; a scan
+flags any import inside a function body.
 """
 
 import ast
@@ -135,3 +139,32 @@ def test_environment_scan_flags_both_forms(tmp_path):
     )
     (tmp_path / "b.py").write_text("from os import environ\n")
     assert environment_reads(tmp_path) == {("a", 2), ("a", 3), ("b", 1)}
+
+
+def function_level_imports(package: Path) -> set[tuple[str, int]]:
+    """(module, line) of every import statement inside a function body."""
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.update(
+                    (path.stem, node.lineno)
+                    for node in ast.walk(fn)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                )
+    return found
+
+
+def test_no_module_imports_inside_a_function():
+    assert function_level_imports(PACKAGE) == set()
+
+
+def test_function_import_scan_flags_every_depth(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import json\nfrom .b import g\n"
+        "def f():\n    import os\n    return os\n"
+        "class C:\n    def m(self):\n        def inner():\n"
+        "            from . import b\n            return b\n        return inner\n"
+    )
+    (tmp_path / "b.py").write_text("async def g():\n    from .a import f\n    return f\n")
+    assert function_level_imports(tmp_path) == {("a", 4), ("a", 9), ("b", 2)}

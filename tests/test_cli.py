@@ -12,6 +12,7 @@ import shutil
 import numpy as np
 import pytest
 
+from fpcirc import operators, problem
 from fpcirc.cli import main
 from fpcirc.fields import ScalarField, write_scalar_csv
 from fpcirc.operators import SpectralBasis
@@ -262,6 +263,28 @@ def test_all_reuses_basis_and_matches_separate_stages(tmp_path, monkeypatch):
     files = run_outputs(together)
     assert any(name.endswith(".csv") for name in files)
     assert files == run_outputs(staged)
+
+
+def test_all_and_validate_assemble_operators_and_rho_s_once(tmp_path, monkeypatch):
+    # exactly once each per run: the eigenbasis, the reduced model and the
+    # full-grid replay share one operator
+    calls = []
+
+    def counted(name, fn):
+        return lambda *a, **k: calls.append(name) or fn(*a, **k)
+
+    for module, name in ((operators, "assemble_generator"),
+                         (operators, "assemble_control_operators"),
+                         (problem, "stationary_density")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    cfg = write_config(tmp_path / "cfg.json", GOOD_CONFIG)
+    out = tmp_path / "run"
+    for command in ("all", "validate"):
+        calls.clear()
+        assert main([command, "--config", cfg, "--out", str(out), "--max-iters", "400"]) == 0
+        assert sorted(calls) == [
+            "assemble_control_operators", "assemble_generator", "stationary_density"
+        ], command
 
 
 def test_old_csv_basis_cache_is_recomputed(good_run, tmp_path):

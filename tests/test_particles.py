@@ -15,6 +15,7 @@ from scipy import stats
 from fpcirc.control import ControlTrajectory
 from fpcirc.particles import (
     CHUNK_SIZE,
+    MIN_COUNT,
     AngularMomentumStat,
     ParticleEnsemble,
     _cell_assignment,
@@ -51,14 +52,7 @@ def stationary_run(coarse_prob):
     """Uncontrolled run started in equilibrium, with a velocity record."""
     ens = sample_initial(stationary_spec(), 20000, 42, L)
     traj = ControlTrajectory.from_constant(0.0, 0.25, 5e-3, 0.0, 0.0)
-    [(ens, record)] = simulate(
-        ens,
-        [traj],
-        coarse_prob.shapes,
-        coarse_prob.potential,
-        coarse_prob.config.D,
-        velocity_window=10,
-    )
+    [(ens, record)] = simulate(ens, [traj], coarse_prob.shapes, velocity_window=10)
     return ens, record
 
 
@@ -181,8 +175,7 @@ def test_draw_noise_rejects_bad_out():
 
 def test_em_step_zero_noise_follows_drift(coarse_prob):
     ens = ParticleEnsemble(np.array([[0.0, 0.0], [1.0, 0.0]]), L, 0)
-    em_step(ens, 0.0, 0.0, 0.01, coarse_prob.shapes, coarse_prob.potential, 0.0,
-            draw_noise(ens))
+    em_step(ens, 0.0, 0.0, 0.01, coarse_prob.shapes, np.zeros((2, 2), order="F"))
     # -grad V = (-4x, -6y): the origin is fixed, (1, 0) moves to (1 - 4 dt, 0)
     assert np.array_equal(ens.positions[0], [0.0, 0.0])
     np.testing.assert_allclose(ens.positions[1], [1.0 - 0.04, 0.0], rtol=1e-15)
@@ -192,19 +185,19 @@ def test_em_step_zero_noise_follows_drift(coarse_prob):
 def test_em_step_zero_noise_follows_controlled_drift(coarse_prob):
     # the reference comes from the sine-cosine closed forms that fill the
     # nodal tables, not from the particles' own evaluators
-    shapes, potential = coarse_prob.shapes, coarse_prob.potential
+    shapes = coarse_prob.shapes
     rng = np.random.default_rng(5)
     start = rng.uniform(-3.0, 3.0, size=(200, 2))
     x, y = start[:, 0], start[:, 1]
     u1, u2, dt = 0.7, -1.3, 0.01
-    gvx, gvy = potential.grad(x, y)
+    gvx, gvy = shapes.potential.grad(x, y)
     gax, gay = _grad_alpha(x, y, L)
-    spx, spy = _scaled_perp_phi(x, y, L, gvx, gvy, coarse_prob.config.D)
+    spx, spy = _scaled_perp_phi(x, y, L, gvx, gvy, shapes.D)
     expected = start + dt * np.column_stack(
         [-gvx - u1 * gax - u2 * spx, -gvy - u1 * gay - u2 * spy]
     )
     ens = ParticleEnsemble(start.copy(), L, 0)
-    em_step(ens, u1, u2, dt, shapes, potential, 0.0, draw_noise(ens))
+    em_step(ens, u1, u2, dt, shapes, np.zeros((200, 2), order="F"))
     np.testing.assert_allclose(ens.positions, expected, rtol=1e-14, atol=0.0)
 
 
@@ -215,30 +208,28 @@ def test_em_step_reflects_back_into_box(coarse_prob):
     ])
     ens = ParticleEnsemble(pos, L, 1)
     for _ in range(20):
-        em_step(ens, 0.0, 1.0, 0.01, coarse_prob.shapes, coarse_prob.potential, 2.0,
-                draw_noise(ens))
+        em_step(ens, 0.0, 1.0, 0.01, coarse_prob.shapes, draw_noise(ens))
     assert np.max(np.abs(ens.positions)) <= L
 
 
 def test_em_step_rejects_nonpositive_dt(coarse_prob):
     ens = ParticleEnsemble(np.zeros((4, 2)), L, 0)
     with pytest.raises(ValueError):
-        em_step(ens, 0.0, 0.0, 0.0, coarse_prob.shapes, coarse_prob.potential, 2.0,
-                draw_noise(ens))
+        em_step(ens, 0.0, 0.0, 0.0, coarse_prob.shapes, draw_noise(ens))
 
 
 def test_em_step_rejects_misshapen_noise(coarse_prob):
     ens = ParticleEnsemble(np.zeros((4, 2)), L, 0)
     with pytest.raises(ValueError):
-        em_step(ens, 0.0, 0.0, 0.01, coarse_prob.shapes, coarse_prob.potential, 2.0,
-                np.zeros((3, 2)))
+        em_step(ens, 0.0, 0.0, 0.01, coarse_prob.shapes, np.zeros((3, 2)))
 
 
 def test_em_step_matches_expression_oracle(coarse_prob):
     # all four cases of u1 and u2 zero or not, over three chunks, the last
     # a partial one; at D = 1.5, since dividing by 2 is exact
-    potential, D = coarse_prob.potential, 1.5
+    D = 1.5
     shapes = replace(coarse_prob.shapes, D=D)
+    potential = shapes.potential
     n = 2 * CHUNK_SIZE + 17
     dt = 0.01
     rng = np.random.default_rng(8)
@@ -254,7 +245,7 @@ def test_em_step_matches_expression_oracle(coarse_prob):
         noise[near] = 5.0 * side
         expected = expression_em_step(start, u1, u2, dt, L, potential.a, potential.b, D,
                                       noise)
-        em_step(ens, u1, u2, dt, shapes, potential, D, noise)
+        em_step(ens, u1, u2, dt, shapes, noise)
         assert np.array_equal(ens.positions, expected)
         assert np.abs(ens.positions[near]).max() < L - 0.5  # reflected
 
@@ -279,20 +270,19 @@ def _separate_run(ens, traj, window, substeps, step):
 
 @pytest.mark.parametrize("substeps", [1, 4])
 def test_lockstep_matches_separate_runs(coarse_prob, substeps):
-    shapes, potential = coarse_prob.shapes, coarse_prob.potential
+    shapes = coarse_prob.shapes
     rng = np.random.default_rng(4)
     traj_a = ControlTrajectory.from_constant(0.0, 0.03, 5e-3, 0.0, 0.0)
     traj_b = traj_a.with_vector(rng.normal(size=2 * traj_a.n_steps))
     n = 40000  # 3 chunks
     ens = sample_initial(coarse_prob.initial, n, 13, L)
-    runs = simulate(ens, [traj_a, traj_b], shapes, potential, 2.0,
-                    velocity_window=2, em_substeps=substeps)
+    runs = simulate(ens, [traj_a, traj_b], shapes, velocity_window=2, em_substeps=substeps)
     assert len(runs) == 2
     for (e, rec), traj in zip(runs, (traj_a, traj_b)):
         ref = sample_initial(coarse_prob.initial, n, 13, L)
         pos, mids, vels = _separate_run(
             ref, traj, 2, substeps,
-            lambda e, u1, u2, dt, nz: em_step(e, u1, u2, dt, shapes, potential, 2.0, nz),
+            lambda e, u1, u2, dt, nz: em_step(e, u1, u2, dt, shapes, nz),
         )
         assert np.array_equal(e.positions, pos)
         assert np.array_equal(rec.positions, mids)
@@ -304,7 +294,7 @@ def test_lockstep_matches_separate_runs(coarse_prob, substeps):
 
 @pytest.mark.parametrize("substeps", [1, 2])
 def test_simulate_matches_expression_oracle(coarse_prob, substeps):
-    potential = coarse_prob.potential
+    potential = coarse_prob.shapes.potential
 
     def oracle(e, u1, u2, dt, noise):
         e.positions = expression_em_step(e.positions, u1, u2, dt, L, potential.a,
@@ -315,8 +305,7 @@ def test_simulate_matches_expression_oracle(coarse_prob, substeps):
     trajs = [traj, traj.with_vector(np.zeros(8))]
     n = 2 * CHUNK_SIZE + 17
     ens = sample_initial(coarse_prob.initial, n, 21, L)
-    runs = simulate(ens, trajs, coarse_prob.shapes, potential, 2.0,
-                    velocity_window=2, em_substeps=substeps)
+    runs = simulate(ens, trajs, coarse_prob.shapes, velocity_window=2, em_substeps=substeps)
     for (e, rec), tr in zip(runs, trajs):
         ref = sample_initial(coarse_prob.initial, n, 21, L)
         pos, mids, vels = _separate_run(ref, tr, 2, substeps, oracle)
@@ -331,8 +320,7 @@ def test_positions_and_noise_are_column_major(coarse_prob):
     ens = sample_initial(coarse_prob.initial, n, 6, L)
     assert ens.positions.flags.f_contiguous
     traj = ControlTrajectory.from_constant(0.0, 0.01, 5e-3, 0.0, 1.0)
-    runs = simulate(ens, [traj, traj, traj], coarse_prob.shapes, coarse_prob.potential,
-                    2.0)
+    runs = simulate(ens, [traj, traj, traj], coarse_prob.shapes)
     assert all(e.positions.flags.f_contiguous for e, _ in runs)
     # chunk i's stream draws its x column's uniforms, then its y column's,
     # and nothing else
@@ -359,8 +347,7 @@ def test_simulate_calls_em_step_once_per_ensemble_and_substep(coarse_prob, monke
     ens = sample_initial(coarse_prob.initial, 500, 3, L)
     traj = ControlTrajectory.from_constant(0.0, 0.05, 5e-3, 0.0, 1.0)
     u_zero = ControlTrajectory.from_constant(0.0, 0.05, 5e-3, 0.0, 0.0)
-    runs = simulate(ens, [traj, u_zero], coarse_prob.shapes, coarse_prob.potential,
-                    2.0, em_substeps=2)
+    runs = simulate(ens, [traj, u_zero], coarse_prob.shapes, em_substeps=2)
     assert len(calls) == 2 * traj.n_steps * 2
     for e, _ in runs:
         assert calls.count(id(e)) == traj.n_steps * 2
@@ -371,9 +358,7 @@ def test_simulate_is_deterministic(coarse_prob):
 
     def run():
         ens = sample_initial(coarse_prob.initial, 3000, 5, L)
-        return simulate(
-            ens, [traj], coarse_prob.shapes, coarse_prob.potential, 2.0
-        )[0][0].positions
+        return simulate(ens, [traj], coarse_prob.shapes)[0][0].positions
 
     assert np.array_equal(run(), run())
 
@@ -382,8 +367,7 @@ def test_simulate_substeps_shrink_record_dt(coarse_prob):
     ens = sample_initial(coarse_prob.initial, 1000, 2, L)
     traj = ControlTrajectory.from_constant(0.0, 0.05, 5e-3, 0.0, 1.0)
     [(ens, record)] = simulate(
-        ens, [traj], coarse_prob.shapes, coarse_prob.potential, 2.0,
-        velocity_window=3, em_substeps=2,
+        ens, [traj], coarse_prob.shapes, velocity_window=3, em_substeps=2
     )
     assert record.dt == pytest.approx(2.5e-3)
     # 3 windowed control steps x 2 substeps x 1000 particles
@@ -395,16 +379,14 @@ def test_simulate_rejects_bad_window_and_substeps(coarse_prob):
     ens = sample_initial(coarse_prob.initial, 100, 0, L)
     traj = ControlTrajectory.from_constant(0.0, 0.05, 5e-3, 0.0, 1.0)
     with pytest.raises(ValueError):
-        simulate(ens, [traj], coarse_prob.shapes, coarse_prob.potential, 2.0,
-                 velocity_window=11)
+        simulate(ens, [traj], coarse_prob.shapes, velocity_window=11)
     with pytest.raises(ValueError):
-        simulate(ens, [traj], coarse_prob.shapes, coarse_prob.potential, 2.0,
-                 em_substeps=0)
+        simulate(ens, [traj], coarse_prob.shapes, em_substeps=0)
     with pytest.raises(ValueError):
-        simulate(ens, [], coarse_prob.shapes, coarse_prob.potential, 2.0)
+        simulate(ens, [], coarse_prob.shapes)
     shorter = ControlTrajectory.from_constant(0.0, 0.04, 5e-3, 0.0, 1.0)
     with pytest.raises(ValueError):
-        simulate(ens, [traj, shorter], coarse_prob.shapes, coarse_prob.potential, 2.0)
+        simulate(ens, [traj, shorter], coarse_prob.shapes)
 
 
 # ------------------------------------------------------------ long-run moments
@@ -414,7 +396,7 @@ def test_uncontrolled_ensemble_equilibrates_to_stationary_moments(coarse_prob):
     n = 5000
     ens = sample_initial(coarse_prob.initial, n, 1, L)
     traj = ControlTrajectory.from_constant(0.0, 5.0, 2e-3, 0.0, 0.0)
-    [(ens, _)] = simulate(ens, [traj], coarse_prob.shapes, coarse_prob.potential, 2.0)
+    [(ens, _)] = simulate(ens, [traj], coarse_prob.shapes)
     x, y = ens.positions[:, 0], ens.positions[:, 1]
     vx, vy = 0.5, 1.0 / 3.0
     assert abs(np.mean(x)) <= 3.0 * np.sqrt(vx / n)
@@ -429,7 +411,7 @@ def test_circulating_control_preserves_stationary_moments(coarse_prob):
     n = 5000
     ens = sample_initial(stationary_spec(), n, 9, L)
     traj = ControlTrajectory.from_constant(0.0, 1.0, 2e-3, 0.0, 1.0)
-    [(ens, _)] = simulate(ens, [traj], coarse_prob.shapes, coarse_prob.potential, 2.0)
+    [(ens, _)] = simulate(ens, [traj], coarse_prob.shapes)
     x, y = ens.positions[:, 0], ens.positions[:, 1]
     vx, vy = 0.5, 1.0 / 3.0
     assert abs(np.mean(x)) <= 4.0 * np.sqrt(vx / n)
@@ -467,13 +449,13 @@ def test_midpoint_binning_sees_zero_flux_at_equilibrium(stationary_run):
 
 def test_estimate_flux_density_normalization_and_masking(stationary_run):
     ens, record = stationary_run
-    est = estimate_flux(ens, record, 10, 10, min_count=10)
+    est = estimate_flux(ens, record, 10, 10)
     cell_area = (8.0 / 10) ** 2
     assert np.sum(est.density) * cell_area == pytest.approx(1.0, rel=1e-12)
     # corner cells hold essentially no equilibrium mass: masked as NaN
-    assert est.count.min() < 10
-    assert np.isnan(est.vx[est.count < 10]).all()
-    assert np.isfinite(est.vx[est.count >= 10]).all()
+    assert est.count.min() < MIN_COUNT
+    assert np.isnan(est.vx[est.count < MIN_COUNT]).all()
+    assert np.isfinite(est.vx[est.count >= MIN_COUNT]).all()
 
 
 def test_flux_estimate_csv_layout(stationary_run, tmp_path):
@@ -506,10 +488,7 @@ def test_angular_momentum_standard_error_scales_with_samples(coarse_prob):
     def run(n, seed):
         ens = sample_initial(stationary_spec(), n, seed, L)
         traj = ControlTrajectory.from_constant(0.0, 0.05, 5e-3, 0.0, 0.0)
-        [(_, record)] = simulate(
-            ens, [traj], coarse_prob.shapes, coarse_prob.potential, 2.0,
-            velocity_window=10,
-        )
+        [(_, record)] = simulate(ens, [traj], coarse_prob.shapes, velocity_window=10)
         return angular_momentum(record, radius=2.0)
 
     small = run(2000, 31)

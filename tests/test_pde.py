@@ -11,20 +11,14 @@ import pytest
 
 from fpcirc.control import ControlTrajectory
 from fpcirc.fields import ScalarField, curl, integrate, weighted_norm
-from fpcirc.pde import (
-    ControlledOperator,
-    DiagnosticsSeries,
-    ImplicitStepper,
-    compute_flux,
-    controlled_operator,
-    integrate_fpe,
-)
+from fpcirc.pde import DiagnosticsSeries, ImplicitStepper, compute_flux, integrate_fpe
 from fpcirc.problem import desired_vorticity, reference_problem
 
 from conftest import (
     column_mass_residual,
     direct_step,
     implicit_step,
+    operator_of,
     read_scalar_csv,
     relative_error,
 )
@@ -37,9 +31,7 @@ def ref():
 
 @pytest.fixture(scope="module")
 def ref_op(ref):
-    return controlled_operator(
-        ref.grid, ref.potential, ref.config.D, ref.shapes, ref.rho_s
-    )
+    return operator_of(ref)
 
 
 @pytest.fixture(scope="module")
@@ -119,14 +111,14 @@ def test_stepper_refactors_when_residual_is_not_finite(coarse_op, coarse_rho0):
 
 
 def test_flux_is_exactly_zero_at_stationary_point(ref):
-    flux = compute_flux(ref.rho_s, 0.0, 0.0, ref.shapes, ref.rho_s, ref.config.D)
+    flux = compute_flux(ref.rho_s, 0.0, 0.0, ref.shapes, ref.rho_s)
     assert flux.max_norm() == 0.0
 
 
 def test_circulating_control_reproduces_desired_vorticity(ref, ref_omega_d):
     # u = (0, 1) at rho_s must realize the target vorticity field up to
     # stencil truncation
-    flux = compute_flux(ref.rho_s, 0.0, 1.0, ref.shapes, ref.rho_s, ref.config.D)
+    flux = compute_flux(ref.rho_s, 0.0, 1.0, ref.shapes, ref.rho_s)
     om = curl(flux)
     diff = ScalarField(ref.grid, om.values - ref_omega_d.values)
     rel = weighted_norm(diff, ref.rho_s, ref.w) / weighted_norm(
@@ -166,9 +158,7 @@ def test_integrate_rejects_grid_mismatch(ref, coarse_op):
     traj = ControlTrajectory.from_constant(0.0, 0.1, 0.01, 0.0, 0.0)
     omega_d = desired_vorticity(ref.shapes)
     with pytest.raises(ValueError):
-        integrate_fpe(
-            coarse_op, ref.rho_s, traj, ref.rho_s, ref.shapes, omega_d, ref.config.D
-        )
+        integrate_fpe(coarse_op, ref.rho_s, traj, ref.shapes, omega_d)
 
 
 def test_uncontrolled_integration_relaxes_toward_stationary(
@@ -182,10 +172,8 @@ def test_uncontrolled_integration_relaxes_toward_stationary(
         coarse_op,
         coarse_rho0,
         traj,
-        coarse_prob.rho_s,
         coarse_prob.shapes,
         omega_d,
-        cfg.D,
         snapshot_every=20,
         snapshot_dir=tmp_path,
         callback=lambda k, t, rho: seen.append((k, t)),
@@ -221,10 +209,8 @@ def test_final_density_matches_last_callback(coarse_op, coarse_prob, coarse_rho0
         coarse_op,
         coarse_rho0,
         traj,
-        coarse_prob.rho_s,
         coarse_prob.shapes,
         omega_d,
-        cfg.D,
         callback=lambda k, t, rho: last.update(k=k, values=rho.values.copy()),
     )
     assert last["k"] == traj.n_steps

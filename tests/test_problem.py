@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from fpcirc.fields import ScalarField, integrate, make_grid, trapezoid_weights
-from fpcirc.operators import stationary_density
 from fpcirc.problem import (
     CostWeights,
     ExperimentConfig,
@@ -20,6 +19,7 @@ from fpcirc.problem import (
     horizon_steps,
     reference_problem,
     reference_shapes,
+    stationary_density,
     validate_shape_bcs,
 )
 
@@ -68,7 +68,8 @@ def test_alpha_peak_and_boundary_normal_derivative(coarse_prob):
     shapes = coarse_prob.shapes
     g = coarse_prob.grid
     i0, j0 = np.argmin(np.abs(g.x)), np.argmin(np.abs(g.y))
-    assert shapes.alpha.values[i0, j0] == pytest.approx(1.0, abs=1e-15)
+    # the bump peaks at the origin node: its nodal gradient vanishes there
+    assert shapes.grad_alpha.x.values[i0, j0] == shapes.grad_alpha.y.values[i0, j0] == 0.0
     # the cosine bump has a genuinely nonzero normal derivative on the
     # open edges: d/dx at (L, 0) is -(pi/2L) sin(pi/2) = -pi/8 for L = 4
     gx, gy = shapes.grad_alpha_at(4.0, 0.0)
@@ -99,7 +100,7 @@ def test_grad_alpha_at_matches_closed_form_on_closed_box(coarse_prob):
 def test_point_evaluators_write_the_same_bits_into_out(coarse_prob):
     # strided inputs, as columns of a row-major array; fresh outputs
     # against given ones, with and without given scratch
-    shapes, potential = coarse_prob.shapes, coarse_prob.potential
+    shapes, potential = coarse_prob.shapes, coarse_prob.shapes.potential
     pts = np.random.default_rng(12).uniform(-4.0, 4.0, size=(1000, 2))
     x, y = pts[:, 0], pts[:, 1]
     vx, vy = potential.grad(x, y)
@@ -327,4 +328,5 @@ def test_reference_shapes_standalone():
     w = trapezoid_weights(g)
     rho = stationary_density(QuadraticPotential(2.0, 3.0), 2.0, g, w)
     shapes = reference_shapes(g, QuadraticPotential(2.0, 3.0), 2.0, rho)
-    assert shapes.alpha.values[10, 10] == pytest.approx(1.0)
+    assert shapes.grad_alpha.x.values[10, 10] == shapes.grad_alpha.y.values[10, 10] == 0.0
+    assert shapes.phi.values[10, 10] == pytest.approx(rho.values[10, 10] * 4.0)

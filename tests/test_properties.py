@@ -88,8 +88,7 @@ def test_reflection_keeps_every_particle_in_the_box(
     rng = np.random.default_rng(seed)
     pos = rng.uniform(-4.0, 4.0, size=(256, 2))
     ens = ParticleEnsemble(pos, 4.0, seed)
-    em_step(ens, u1, u2, dt, coarse_prob.shapes, coarse_prob.potential, 2.0,
-            draw_noise(ens))
+    em_step(ens, u1, u2, dt, coarse_prob.shapes, draw_noise(ens))
     assert np.max(np.abs(ens.positions)) <= 4.0
 
 

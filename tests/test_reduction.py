@@ -133,7 +133,7 @@ def test_model_save_load_roundtrip(tmp_path, coarse_model):
     assert back["meta"] == coarse_model.meta
 
 
-def test_model_truncation(coarse_model, coarse_basis, coarse_prob):
+def test_model_truncation(coarse_model, coarse_basis, coarse_op, coarse_prob):
     # the basis is nested: the leading block of the model is the model
     # of the leading modes, as criterion 8's mode sweep assumes
     sub = truncate(coarse_model, 5)
@@ -141,8 +141,7 @@ def test_model_truncation(coarse_model, coarse_basis, coarse_prob):
         coarse_basis, eigenvalues=coarse_basis.eigenvalues[:5], modes=coarse_basis.modes[:5]
     )
     direct = assemble_reduced_model(
-        basis5, coarse_prob.shapes, coarse_prob.potential, coarse_prob.config.D,
-        desired_vorticity(coarse_prob.shapes),
+        basis5, coarse_op, coarse_prob.shapes, desired_vorticity(coarse_prob.shapes)
     )
     assert sub.M == direct.M == 5
     for name in ("eigenvalues", "B1", "B2", "A1", "A2", "A3", "d", "c_s"):
@@ -161,7 +160,6 @@ def test_flux_vanishes_at_stationarity(coarse_basis, coarse_prob):
     e0 = np.zeros(coarse_basis.M)
     e0[0] = 1.0
     J = compute_flux(
-        reconstruct(e0, coarse_basis), 0.0, 0.0, coarse_prob.shapes,
-        coarse_basis.rho_s, coarse_prob.config.D,
+        reconstruct(e0, coarse_basis), 0.0, 0.0, coarse_prob.shapes, coarse_basis.rho_s
     )
     assert J.max_norm() == 0.0
